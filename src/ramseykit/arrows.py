@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .hypergraph import (
@@ -388,9 +389,6 @@ def ramsey_number(
     )
 
 
-_base_cache: dict[tuple[int, TargetList], EdgeColoring] = {}
-
-
 def base_coloring_search(
     s: int,
     targets: TargetList,
@@ -399,17 +397,21 @@ def base_coloring_search(
     max_seconds: float | None = None,
 ) -> EdgeColoring:
     """A good coloring of the complete r-graph on [1..s], cached per
-    (s, targets).
+    (s, targets, budget).
 
     Exists exactly when s is below the targets' Ramsey number; otherwise
-    raises NoGoodColoringError.
+    raises NoGoodColoringError.  Neither that error nor an exhausted
+    budget is cached, and the cache keeps the 16 most recent colorings.
     """
     if s < targets.r:
         raise ValueError(f"need s >= r = {targets.r}, got {s}")
-    key = (s, targets)
-    hit = _base_cache.get(key)
-    if hit is not None:
-        return hit
+    return _base_coloring(s, targets, max_nodes, max_seconds)
+
+
+@lru_cache(maxsize=16)
+def _base_coloring(
+    s: int, targets: TargetList, max_nodes: int | None, max_seconds: float | None
+) -> EdgeColoring:
     result = arrows_decision(
         complete_hypergraph(s, targets.r),
         targets,
@@ -421,7 +423,5 @@ def base_coloring_search(
             f"every {targets.num_colors}-coloring of the complete "
             f"{targets.r}-graph on {s} vertices contains a target clique"
         )
-    witness = result.witness
-    assert witness is not None
-    _base_cache[key] = witness
-    return witness
+    assert result.witness is not None
+    return result.witness

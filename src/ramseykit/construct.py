@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import re
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,18 +184,24 @@ def _comb_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _unrank_subset(rank: int, n: int, k: int) -> Edge:
-    """The rank-th k-subset of 1..n in lexicographic order (0-based rank)."""
+    """The rank-th k-subset of 1..n in lexicographic order (0-based rank).
+
+    Counted from the last subset, q = C(n, k) - 1 - rank has the unique
+    combinatorial-number-system form q = C(c_k, k) + ... + C(c_1, 1)
+    with n > c_k > ... > c_1 >= 0, and the subset is {n - c_j}
+    (Knuth, TAOCP 7.2.1.3).  Each c_j is the largest c with
+    C(c, j) <= q, found by bisecting column j of the cached table, so
+    one subset costs O(k log n) instead of a walk over 1..n.  The rank
+    -> subset map is the same lexicographic bijection as that walk.
+    """
     table = _comb_table(n, k)
+    q = table[k][n] - 1 - rank
     out = []
-    v = 1
-    while k > 0:
-        c = table[k - 1][n - v]
-        if rank < c:
-            out.append(v)
-            k -= 1
-        else:
-            rank -= c
-        v += 1
+    c = n
+    for j in range(k, 0, -1):
+        c = bisect_right(table[j], q, 0, c) - 1
+        q -= table[j][c]
+        out.append(n - c)
     return tuple(out)
 
 
@@ -291,17 +298,29 @@ def conformality_violations(
     every candidate not contained in a single edge, each minimal
     non-trivial r-cover of W by edges of H is reported.  Empty iff H is
     (r, t)-conformal.
+
+    A vertex -> incident-edges index, built once per call, keeps the work
+    per candidate proportional to the edges at its vertices: an edge
+    containing W contains W[0], and an edge meeting W in r >= 2 vertices
+    is incident to one of them.  The cover enumeration sorts and
+    deduplicates its candidates, so their order here does not matter and
+    the output matches a scan over all of H's edges.
     """
     if not (H.k >= t > r >= 2):
         raise ValueError(f"need s >= t > r >= 2, got s={H.k}, t={t}, r={r}")
     primal = primal_r_graph(H, r)
     out: list[tuple[tuple[int, ...], CoverFamily]] = []
     edge_sets = [set(A) for A in H.edges]
+    incident: dict[int, list[int]] = defaultdict(list)
+    for i, A in enumerate(H.edges):
+        for v in A:
+            incident[v].append(i)
     for W in enumerate_cliques(primal, t):
         wset = set(W)
-        if any(wset <= es for es in edge_sets):
+        if any(wset <= edge_sets[i] for i in incident[W[0]]):
             continue
-        relevant = [A for A, es in zip(H.edges, edge_sets) if len(es & wset) >= r]
+        near = {i for v in W for i in incident[v]}
+        relevant = [H.edges[i] for i in near if len(edge_sets[i] & wset) >= r]
         for fam in enumerate_minimal_nontrivial_covers(W, relevant, r):
             out.append((W, fam))
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -66,6 +67,22 @@ def powerset_minimal_covers(W, candidates, r):
         if not any(other < fam for other in all_covers):
             minimal.add(fam)
     return minimal
+
+
+def walk_unrank_subset(rank, n, k):
+    """The rank-th k-subset of 1..n in lexicographic order, by walking
+    v = 1..n and skipping the C(n - v, k - 1) subsets that start at v."""
+    out = []
+    v = 1
+    while k > 0:
+        c = comb(n - v, k - 1)
+        if rank < c:
+            out.append(v)
+            k -= 1
+        else:
+            rank -= c
+        v += 1
+    return tuple(out)
 
 
 def naive_linearity_pairs(edges, r):

@@ -233,6 +233,14 @@ class TestBaseColoringSearch:
         # cached object is returned on repeat calls
         assert base_coloring_search(5, TargetList(2, (3, 3))) is base
 
+    def test_budget_overrun_raises_every_time(self):
+        targets = TargetList(2, (3, 4))
+        for _ in range(2):  # a failed search is not cached
+            with pytest.raises(SearchBudgetExceeded):
+                base_coloring_search(7, targets, max_nodes=5)
+        base = base_coloring_search(7, targets)
+        assert verify_good_coloring(complete_hypergraph(7, 2), base, targets)
+
     def test_none_exists_at_ramsey_number(self):
         with pytest.raises(NoGoodColoringError):
             base_coloring_search(6, TargetList(2, (3, 3)))

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from ramseykit import (
 )
 from ramseykit.construct import _int_nth_root, _unrank_subset
 
-from oracles import naive_conformality, naive_linearity_pairs
+from oracles import naive_conformality, naive_linearity_pairs, walk_unrank_subset
 
 
 @st.composite
@@ -101,6 +102,20 @@ class TestSampler:
         n, k = 9, 3
         subsets = [_unrank_subset(i, n, k) for i in range(math.comb(n, k))]
         assert subsets == list(itertools.combinations(range(1, n + 1), k))
+
+    def test_unrank_subset_matches_walk_exhaustively(self):
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                for rank in range(math.comb(n, k)):
+                    assert _unrank_subset(rank, n, k) == walk_unrank_subset(rank, n, k)
+
+    @pytest.mark.parametrize("n, k", [(10000, 5), (500, 8)])
+    def test_unrank_subset_matches_walk_at_scale(self, n, k):
+        total = math.comb(n, k)
+        rng = np.random.Generator(np.random.PCG64(2024))
+        ranks = [0, total - 1] + [int(x) for x in rng.integers(0, total, size=2000)]
+        for rank in ranks:
+            assert _unrank_subset(rank, n, k) == walk_unrank_subset(rank, n, k)
 
     def test_mean_edge_count_within_three_stderr(self):
         # binomial mean 0.1 * C(30,3) = 406, sd = sqrt(N p (1-p))
