@@ -35,7 +35,7 @@ from .construct import (
     sample_hypergraph,
 )
 from .covers import expected_cover_bound
-from .fileio import FormatError, read_hypergraph, write_coloring, write_hypergraph
+from .fileio import read_hypergraph, write_coloring, write_hypergraph
 from .hypergraph import max_r_density_with_witness, clique_density
 
 __all__ = ["main", "entry"]
@@ -71,13 +71,21 @@ def _parse_targets(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _report(args, payload: dict, text: str, json_path: str | None = None,
+            code: int = EXIT_OK) -> int:
+    """The one exit of every verb's report: the JSON form of `payload`
+    goes to `json_path` when given, then the JSON or `text` to stdout as
+    --format says; returns the verb's exit code."""
+    report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if json_path is not None:
+        _write_text(json_path, report)
+    sys.stdout.write(report if args.format == "json" else text)
+    return code
 
 
 def _cmd_density(args) -> int:
@@ -95,19 +103,16 @@ def _cmd_density(args) -> int:
         F = read_hypergraph(args.file)
         value, witness = max_r_density_with_witness(F)
         source = args.file
-    if args.format == "json":
-        payload = {
-            "kind": "density",
-            "source": source,
-            "density": str(value),
-            "witness": list(witness) if witness is not None else None,
-        }
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(value)
-        if witness is not None:
-            print("witness:", " ".join(map(str, witness)))
-    return EXIT_OK
+    payload = {
+        "kind": "density",
+        "source": source,
+        "density": str(value),
+        "witness": list(witness) if witness is not None else None,
+    }
+    text = f"{value}\n"
+    if witness is not None:
+        text += f"witness: {' '.join(map(str, witness))}\n"
+    return _report(args, payload, text)
 
 
 def _cmd_construct(args) -> int:
@@ -119,18 +124,14 @@ def _cmd_construct(args) -> int:
     payload = report.to_json_dict(result_file=uhg_path)
     payload["p"] = str(p)
     payload["seed"] = args.seed
-    _write_text(f"{args.out}.json", _emit_json(payload))
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(
-            f"sampled {report.input_edges} edges, deleted {len(report.deleted)} "
-            f"({report.num_linearity_violations} overlap pairs, "
-            f"{report.num_cover_violations} cover violations), "
-            f"deleted fraction {report.deleted_fraction}"
-        )
-        print(f"result: {report.result.num_edges} edges -> {uhg_path}")
-    return EXIT_OK
+    text = (
+        f"sampled {report.input_edges} edges, deleted {len(report.deleted)} "
+        f"({report.num_linearity_violations} overlap pairs, "
+        f"{report.num_cover_violations} cover violations), "
+        f"deleted fraction {report.deleted_fraction}\n"
+        f"result: {report.result.num_edges} edges -> {uhg_path}\n"
+    )
+    return _report(args, payload, text, json_path=f"{args.out}.json")
 
 
 def _cmd_witness(args) -> int:
@@ -183,15 +184,11 @@ def _cmd_witness(args) -> int:
         "verified": True,
         "files": {"primal": uhg_path, "coloring": col_path, "h0": h0_path},
     }
-    _write_text(f"{args.out}.json", _emit_json(payload))
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(
-            f"s={s}: certified good {targets.num_colors}-coloring of the "
-            f"primal graph ({primal.num_edges} edges) -> {uhg_path}, {col_path}"
-        )
-    return EXIT_OK
+    text = (
+        f"s={s}: certified good {targets.num_colors}-coloring of the "
+        f"primal graph ({primal.num_edges} edges) -> {uhg_path}, {col_path}\n"
+    )
+    return _report(args, payload, text, json_path=f"{args.out}.json")
 
 
 def _cmd_arrow(args) -> int:
@@ -225,11 +222,9 @@ def _cmd_arrow(args) -> int:
         "witness_file": witness_path,
         "cnf_file": cnf_path,
     }
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(f"{result.verdict} (nodes explored: {result.nodes_explored})")
-    return EXIT_OK if result.verdict == "arrows" else EXIT_NOT_ARROWS
+    text = f"{result.verdict} (nodes explored: {result.nodes_explored})\n"
+    code = EXIT_OK if result.verdict == "arrows" else EXIT_NOT_ARROWS
+    return _report(args, payload, text, code=code)
 
 
 def _cmd_ramsey(args) -> int:
@@ -237,18 +232,14 @@ def _cmd_ramsey(args) -> int:
     value = ramsey_number(
         targets, args.nmax, max_nodes=args.max_nodes, max_seconds=args.max_seconds
     )
-    if args.format == "json":
-        payload = {
-            "kind": "ramsey",
-            "r": args.r,
-            "targets": list(targets.sizes),
-            "n_max": args.nmax,
-            "value": value,
-        }
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(value)
-    return EXIT_OK
+    payload = {
+        "kind": "ramsey",
+        "r": args.r,
+        "targets": list(targets.sizes),
+        "n_max": args.nmax,
+        "value": value,
+    }
+    return _report(args, payload, f"{value}\n")
 
 
 def _cmd_experiment(args) -> int:
@@ -262,23 +253,17 @@ def _cmd_experiment(args) -> int:
         payload["cover_bound"] = sub
     if args.csv is not None:
         _write_text(args.csv, stats.to_csv())
-    if args.json is not None:
-        _write_text(args.json, _emit_json(payload))
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        print(
-            f"{stats.trials} trials: mean edges {stats.mean_edges:.3f}, "
-            f"mean deleted {stats.mean_deleted:.3f}, "
-            f"violation/edge ratio {stats.violation_edge_ratio:.6f}"
+    text = (
+        f"{stats.trials} trials: mean edges {stats.mean_edges:.3f}, "
+        f"mean deleted {stats.mean_deleted:.3f}, "
+        f"violation/edge ratio {stats.violation_edge_ratio:.6f}\n"
+    )
+    if args.lemma42:
+        text += (
+            f"cover-count bound {float(bound.total):.6g} vs reference "
+            f"{float(bound.reference):.6g} (ratio {float(bound.ratio):.6g})\n"
         )
-        if args.lemma42:
-            ratio = bound.ratio
-            print(
-                f"cover-count bound {float(bound.total):.6g} vs reference "
-                f"{float(bound.reference):.6g} (ratio {float(ratio):.6g})"
-            )
-    return EXIT_OK
+    return _report(args, payload, text, json_path=args.json)
 
 
 def _add_budget_flags(sub) -> None:
@@ -380,33 +365,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+# exception -> (stderr prefix, exit code); FormatError and NotLinearError
+# are ValueErrors.  Anything else propagates.
+_ERRORS = {
+    UsageError: ("usage error", EXIT_USAGE),
+    SearchBudgetExceeded: ("inconclusive", EXIT_INCONCLUSIVE),
+    RamseyUndecidedError: ("inconclusive", EXIT_INCONCLUSIVE),
+    InternalContradictionError: ("internal contradiction", EXIT_CONTRADICTION),
+    NoGoodColoringError: ("usage error", EXIT_USAGE),
+    ValueError: ("error", EXIT_USAGE),
+    OSError: ("error", EXIT_USAGE),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchBudgetExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except RamseyUndecidedError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except InternalContradictionError as exc:
-        print(f"internal contradiction: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
-    except NoGoodColoringError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_ERRORS) as exc:
+        prefix, code = next(v for t, v in _ERRORS.items() if isinstance(exc, t))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

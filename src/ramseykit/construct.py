@@ -26,7 +26,6 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import re
 from bisect import bisect_right
 from collections import defaultdict
@@ -75,7 +74,7 @@ _MAX_SEED = 2**64 - 1
 # binomial law and picks that many distinct edges uniformly.  Both
 # realize the same product-Bernoulli distribution.
 DEFAULT_DENSE_LIMIT = 1 << 20
-DEFAULT_MAX_EDGES = 2_000_000
+MAX_EDGES = 2_000_000
 
 
 class NotLinearError(ValueError):
@@ -212,7 +211,6 @@ def sample_hypergraph(
     seed: int,
     *,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> UniformHypergraph:
     """Binomial random s-graph on [1..n]: every s-subset is an edge
     independently with probability p.
@@ -222,7 +220,7 @@ def sample_hypergraph(
     draw; otherwise the edge count is drawn from the exact binomial law
     and that many distinct subsets are chosen uniformly (rejection on
     subset ranks), which realizes the same distribution.  Realized edge
-    counts beyond `max_edges` are refused.
+    counts beyond MAX_EDGES are refused.
     """
     if n < s or s < 2:
         raise ValueError(f"need n >= s >= 2, got n={n}, s={s}")
@@ -242,15 +240,15 @@ def sample_hypergraph(
     if total <= dense_limit:
         mask = rng.random(total) < pf
         count = int(mask.sum())
-        if count > max_edges:
-            raise ValueError(f"sampled {count} edges, above max_edges={max_edges}")
+        if count > MAX_EDGES:
+            raise ValueError(f"sampled {count} edges, above max_edges={MAX_EDGES}")
         edges = tuple(
             itertools.compress(itertools.combinations(range(1, n + 1), s), mask)
         )
         return UniformHypergraph._from_canonical(n, s, edges)
     count = int(rng.binomial(total, pf))
-    if count > max_edges:
-        raise ValueError(f"sampled {count} edges, above max_edges={max_edges}")
+    if count > MAX_EDGES:
+        raise ValueError(f"sampled {count} edges, above max_edges={MAX_EDGES}")
     chosen: set[int] = set()
     need = count
     while need > 0:
@@ -407,11 +405,18 @@ def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
         H.n, H.k, tuple(e for e in H.edges if e not in doomed)
     )
     if not is_r_linear(result, r) or not is_conformal(result, r, t):
+        left = linearity_violations(result, r)
+        if left:
+            a, b = left[0]
+            culprit = f"edges {a} and {b} share >= {r} vertices"
+        else:
+            W, fam = conformality_violations(result, r, t)[0]
+            culprit = f"{W} is covered by {', '.join(map(str, fam.members))}"
         raise InternalContradictionError(
             f"cleaning left a violation: deleted {len(doomed)} of "
             f"{H.num_edges} edges for {len(lin)} overlap pairs and "
             f"{len(cov)} cover violations, yet the survivor is not "
-            f"{r}-linear and ({r},{t})-conformal"
+            f"{r}-linear and ({r},{t})-conformal: {culprit}"
         )
     return CleanReport(
         r=r,
@@ -547,8 +552,18 @@ class TrialStats:
             "violation_edge_ratio": self.violation_edge_ratio,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+def _trial_hypergraphs(
+    n: int, s: int, p: float | Fraction, trials: int, master_seed: int
+):
+    """Yield (seed, H) for trials 0..trials-1, where trial i samples
+    H(n, s, p) on the derived seed ``trial_seed(master_seed, i)``."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    _check_seed(master_seed)
+    for i in range(trials):
+        seed = trial_seed(master_seed, i)
+        yield seed, sample_hypergraph(n, s, p, seed)
 
 
 def run_trials(
@@ -566,13 +581,8 @@ def run_trials(
     trials are independent streams and the whole run is reproducible
     from the master seed alone.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_seed(master_seed)
     records = []
-    for i in range(trials):
-        seed = trial_seed(master_seed, i)
-        H = sample_hypergraph(n, s, p, seed)
+    for i, (seed, H) in enumerate(_trial_hypergraphs(n, s, p, trials, master_seed)):
         report = clean(H, r, t)
         records.append(
             TrialRecord(
@@ -615,15 +625,12 @@ def estimate_cover_count(
     """Estimate E(X_W) for W = `target` (default [1..t]) by sampling."""
     if not (s >= t > r >= 2):
         raise ValueError(f"need s >= t > r >= 2, got s={s}, t={t}, r={r}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     W = tuple(range(1, t + 1)) if target is None else tuple(sorted(target))
     if len(W) != t:
         raise ValueError(f"target must have t={t} vertices, got {len(W)}")
     wset = set(W)
     counts = []
-    for i in range(trials):
-        H = sample_hypergraph(n, s, p, trial_seed(master_seed, i))
+    for _, H in _trial_hypergraphs(n, s, p, trials, master_seed):
         relevant = [A for A in H.edges if len(wset.intersection(A)) >= r]
         if len(relevant) >= 2:
             counts.append(len(enumerate_minimal_nontrivial_covers(W, relevant, r)))

@@ -23,7 +23,6 @@ order is deterministic.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -277,9 +276,6 @@ class CoverBoundReport:
             "reference": str(self.reference),
             "ratio": str(self.ratio),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def expected_cover_bound(

@@ -53,6 +53,26 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
         raise FormatError(path, lineno, f"{what}: {token!r} is not an integer") from None
 
 
+# what each header field is called in error messages
+_HEADER_FIELDS = {"<n>": "vertex count", "<k>": "uniformity", "<L>": "color count"}
+
+
+def _read_header(path, lines, spec: str) -> tuple[int, list[int]]:
+    """Parse the first content line against `spec`, e.g. ``uhg <n> <k>``;
+    returns its line number and its integer fields."""
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise FormatError(path, 1, f"missing '{spec}' header") from None
+    tokens, fields = header.split(), spec.split()
+    if len(tokens) != len(fields) or tokens[0] != fields[0]:
+        raise FormatError(path, lineno, f"malformed header {header!r}, expected '{spec}'")
+    return lineno, [
+        _parse_int(tok, path, lineno, _HEADER_FIELDS[field])
+        for tok, field in zip(tokens[1:], fields[1:])
+    ]
+
+
 def _parse_edge(tokens: list[str], n: int, k: int, path, lineno: int) -> Edge:
     if len(tokens) != k:
         raise FormatError(path, lineno, f"expected {k} vertices, got {len(tokens)}")
@@ -71,15 +91,7 @@ def _parse_edge(tokens: list[str], n: int, k: int, path, lineno: int) -> Edge:
 def read_hypergraph(path: str | os.PathLike) -> UniformHypergraph:
     """Parse a .uhg file; raises FormatError naming the offending line."""
     lines = _content_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError(path, 1, "missing 'uhg <n> <k>' header") from None
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "uhg":
-        raise FormatError(path, lineno, f"malformed header {header!r}, expected 'uhg <n> <k>'")
-    n = _parse_int(tokens[1], path, lineno, "vertex count")
-    k = _parse_int(tokens[2], path, lineno, "uniformity")
+    lineno, (n, k) = _read_header(path, lines, "uhg <n> <k>")
     if n < 0 or k < 2:
         raise FormatError(path, lineno, f"need n >= 0 and k >= 2, got n={n}, k={k}")
     edges: dict[Edge, int] = {}
@@ -108,18 +120,7 @@ def read_coloring(
     colored edges themselves.
     """
     lines = _content_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError(path, 1, "missing 'col <n> <k> <L>' header") from None
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "col":
-        raise FormatError(
-            path, lineno, f"malformed header {header!r}, expected 'col <n> <k> <L>'"
-        )
-    n = _parse_int(tokens[1], path, lineno, "vertex count")
-    k = _parse_int(tokens[2], path, lineno, "uniformity")
-    num_colors = _parse_int(tokens[3], path, lineno, "color count")
+    lineno, (n, k, num_colors) = _read_header(path, lines, "col <n> <k> <L>")
     if n < 0 or k < 2 or num_colors < 1:
         raise FormatError(path, lineno, "need n >= 0, k >= 2 and L >= 1")
     if host is not None and (host.n != n or host.k != k):

@@ -90,9 +90,6 @@ class UniformHypergraph:
         """Vertices of nonzero degree, ascending."""
         return tuple(sorted({v for e in self.edges for v in e}))
 
-    def has_edge(self, edge: Iterable[int]) -> bool:
-        return tuple(sorted(edge)) in self.edge_set
-
     def restrict_edges(self, keep: Iterable[Edge]) -> "UniformHypergraph":
         """Sub-hypergraph on the same vertex set with the given edges."""
         keep_set = set(keep)

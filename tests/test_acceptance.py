@@ -234,7 +234,7 @@ def test_a8_determinism(tmp_path):
     first = run_trials(n, s, r, t, float(p), 20, MASTER_SEED)
     second = run_trials(n, s, r, t, float(p), 20, MASTER_SEED)
     assert first.to_csv() == second.to_csv()
-    assert first.to_json() == second.to_json()
+    assert first.to_json_dict() == second.to_json_dict()
 
     argv = [
         "construct", "--n", "2000", "--s", "5", "--r", "2", "--t", "3",

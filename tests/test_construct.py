@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramseykit import (
     EdgeColoring,
+    InternalContradictionError,
     NotLinearError,
     UniformHypergraph,
     clean,
@@ -237,6 +238,21 @@ class TestClean:
         for W in enumerate_cliques(primal, 3):
             assert any(set(W) <= set(A) for A in result.edges)
 
+    def test_contradiction_names_the_remaining_cover(self):
+        """The known cleaning defect: the overlap pair step deletes
+        (5, 15, 20, 29), and three surviving edges still cover
+        W = (15, 20, 29), which the cover scan skipped because W lay
+        inside that edge.  The error must name W and its cover.  Once
+        the cleaning step is fixed this input cleans, and this test
+        becomes a success test."""
+        H = sample_hypergraph(30, 4, 1 / 800, 1)
+        with pytest.raises(InternalContradictionError) as err:
+            clean(H, 2, 3)
+        assert str(err.value).endswith(
+            "(15, 20, 29) is covered by (13, 15, 17, 29), (15, 20, 26, 30), "
+            "(16, 20, 24, 29)"
+        )
+
 
 class TestLift:
     def test_identity_on_aligned_edge(self):
@@ -321,7 +337,7 @@ class TestRunTrials:
         a = run_trials(40, 3, 2, 3, 0.02, 5, 123)
         b = run_trials(40, 3, 2, 3, 0.02, 5, 123)
         assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
+        assert a.to_json_dict() == b.to_json_dict()
         assert a.to_csv().splitlines()[0] == "seed,e_H,X,Y,deleted,e_H0"
 
     def test_validates(self):
@@ -355,3 +371,9 @@ class TestEstimateCoverCount:
         est = estimate_cover_count(12, 4, 2, 3, p, 400, 77)
         bound = expected_cover_bound(12, 4, 2, 3, p)
         assert est.mean <= float(bound.total) + 3 * est.std_error
+
+    def test_validates_master_seed_like_run_trials(self):
+        with pytest.raises(ValueError):
+            run_trials(50, 4, 2, 3, 0.0, 2, -1)
+        with pytest.raises(ValueError):
+            estimate_cover_count(50, 4, 2, 3, 0.0, 2, -1)
