@@ -5,120 +5,15 @@ certify their non-arrowing exactly, decide arrowing on small instances,
 and verify the minimal-cover inequalities behind the cleaning step.
 """
 
-from .arrows import (
-    ArrowResult,
-    ColoringCheck,
-    NoGoodColoringError,
-    RamseyUndecidedError,
-    SearchBudgetExceeded,
-    TargetList,
-    arrows_decision,
-    base_coloring_search,
-    export_cnf,
-    ramsey_number,
-    verify_good_coloring,
-)
-from .construct import (
-    CleanReport,
-    CoverCountEstimate,
-    InternalContradictionError,
-    NotLinearError,
-    TrialRecord,
-    TrialStats,
-    clean,
-    conformality_violations,
-    estimate_cover_count,
-    is_conformal,
-    is_r_linear,
-    lift_coloring,
-    linearity_violations,
-    parse_probability,
-    run_trials,
-    sample_hypergraph,
-    trial_seed,
-)
-from .covers import (
-    CoverBoundReport,
-    CoverFamily,
-    check_cover_inequality,
-    cover_inequality_lhs,
-    enumerate_minimal_nontrivial_covers,
-    expected_cover_bound,
-    is_r_cover,
-    phi,
-    reduction_sequence,
-)
-from .fileio import (
-    FormatError,
-    read_coloring,
-    read_hypergraph,
-    write_coloring,
-    write_hypergraph,
-)
-from .hypergraph import (
-    EdgeColoring,
-    UniformHypergraph,
-    clique_density,
-    complete_hypergraph,
-    count_mono_clique_copies,
-    enumerate_cliques,
-    max_r_density,
-    max_r_density_with_witness,
-    primal_r_graph,
-)
+from . import arrows, construct, covers, fileio, hypergraph
+from .arrows import *
+from .construct import *
+from .covers import *
+from .fileio import *
+from .hypergraph import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrowResult",
-    "CleanReport",
-    "ColoringCheck",
-    "CoverBoundReport",
-    "CoverCountEstimate",
-    "CoverFamily",
-    "EdgeColoring",
-    "FormatError",
-    "InternalContradictionError",
-    "NoGoodColoringError",
-    "NotLinearError",
-    "RamseyUndecidedError",
-    "SearchBudgetExceeded",
-    "TargetList",
-    "TrialRecord",
-    "TrialStats",
-    "UniformHypergraph",
-    "arrows_decision",
-    "base_coloring_search",
-    "check_cover_inequality",
-    "clean",
-    "clique_density",
-    "complete_hypergraph",
-    "conformality_violations",
-    "count_mono_clique_copies",
-    "cover_inequality_lhs",
-    "enumerate_cliques",
-    "enumerate_minimal_nontrivial_covers",
-    "estimate_cover_count",
-    "expected_cover_bound",
-    "export_cnf",
-    "is_conformal",
-    "is_r_cover",
-    "is_r_linear",
-    "lift_coloring",
-    "linearity_violations",
-    "max_r_density",
-    "max_r_density_with_witness",
-    "parse_probability",
-    "phi",
-    "primal_r_graph",
-    "ramsey_number",
-    "read_coloring",
-    "read_hypergraph",
-    "reduction_sequence",
-    "run_trials",
-    "sample_hypergraph",
-    "trial_seed",
-    "verify_good_coloring",
-    "write_coloring",
-    "write_hypergraph",
-]
+__all__ = sorted(
+    arrows.__all__ + construct.__all__ + covers.__all__ + fileio.__all__ + hypergraph.__all__
+)

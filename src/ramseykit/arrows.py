@@ -11,6 +11,15 @@ verdict "arrows" is a proof only when the tree was fully exhausted;
 running out of budget raises, it never guesses.  Witnesses and node
 counts are reproducible because the order is fixed.
 
+The node loop is selected by r.  For r = 2 it keeps one adjacency
+bitmask per color and vertex and asks whether the common neighbourhood
+of the new edge holds a clique; for r >= 3 it keeps, per color, how many
+edges of each precomputed target clique are laid down.  The two loops
+stay separate because merging them costs speed.  Exhausting K_9 at (3,4)
+visits the same 29,196,464 nodes either way, but on a shared 2-core host
+one skeleton with callbacks took 27-31 s against 20-22 s for the r = 2
+loop, and one face-bitset loop for every r took 45-47 s against 25 s.
+
 Instances beyond the internal search can be exported as DIMACS CNF:
 the formula is satisfiable exactly when a good coloring exists.
 """
@@ -107,7 +116,11 @@ class ArrowResult:
     witness: EdgeColoring | None
     nodes_explored: int
     elapsed: float
-    exhausted: bool
+
+    @property
+    def exhausted(self) -> bool:
+        """True when the verdict rests on a fully exhausted search tree."""
+        return self.verdict == "arrows"
 
 
 def verify_good_coloring(
@@ -128,7 +141,7 @@ def verify_good_coloring(
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
     for color, size in enumerate(targets.sizes, start=1):
-        mono = G.restrict_edges(coloring.color_class(color))
+        mono = UniformHypergraph._from_canonical(G.n, G.k, coloring.color_class(color))
         hits = enumerate_cliques(mono, size)
         if hits:
             return ColoringCheck(False, color, hits[0])
@@ -161,8 +174,6 @@ def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started):
                 return True
         return False
 
-    if m == 0:
-        return [], 0
     assignment = [0] * m
     tried = [0] * m
     nodes = 0
@@ -214,23 +225,18 @@ def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started):
 
 def _search_clique_counters(G, targets, max_nodes, max_seconds, started):
     """Generic DFS: per-color counters over precomputed target cliques."""
-    edges = G.edges
-    m = len(edges)
-    r = G.k
+    m = len(G.edges)
     ell = targets.num_colors
-    edge_index = {e: i for i, e in enumerate(edges)}
-    cliques_of_size = {t: enumerate_cliques(G, t) for t in set(targets.sizes)}
+    cliques_of_size = _target_clique_edges(G, targets)
     per_color = []
     for t in targets.sizes:
         cliques = cliques_of_size[t]
         through: list[list[int]] = [[] for _ in range(m)]
-        for cid, W in enumerate(cliques):
-            for B in itertools.combinations(W, r):
-                through[edge_index[B]].append(cid)
-        per_color.append((through, [0] * len(cliques), comb(t, r)))
+        for cid, eids in enumerate(cliques):
+            for eidx in eids:
+                through[eidx].append(cid)
+        per_color.append((through, [0] * len(cliques), comb(t, G.k)))
 
-    if m == 0:
-        return [], 0
     assignment = [0] * m
     tried = [0] * m
     nodes = 0
@@ -272,6 +278,20 @@ def _search_clique_counters(G, targets, max_nodes, max_seconds, started):
             return list(assignment), nodes
 
 
+def _target_clique_edges(G, targets) -> dict[int, list[list[int]]]:
+    """Per target size t, the t-cliques of G in lexicographic order, each
+    given as the indices into G.edges of its r-subsets (in combination
+    order)."""
+    edge_index = {e: i for i, e in enumerate(G.edges)}
+    return {
+        t: [
+            [edge_index[B] for B in itertools.combinations(W, G.k)]
+            for W in enumerate_cliques(G, t)
+        ]
+        for t in set(targets.sizes)
+    }
+
+
 def _check_time(nodes, max_seconds, started):
     if time.perf_counter() - started > max_seconds:
         raise SearchBudgetExceeded(nodes, time.perf_counter() - started)
@@ -287,14 +307,16 @@ def arrows_decision(
     """Decide whether every coloring of G hits some target clique.
 
     Returns "not_arrows" with a verified witness coloring, or "arrows"
-    with `exhausted=True` once the full assignment tree is pruned away.
+    once the full assignment tree is pruned away.
     Exceeding the budget raises SearchBudgetExceeded; an undecided
     search never turns into a verdict.
     """
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
     started = time.perf_counter()
-    if G.k == 2:
+    if not G.edges:
+        assignment, nodes = [], 0
+    elif G.k == 2:
         assignment, nodes = _search_graph_bitsets(
             G, targets, max_nodes, max_seconds, started
         )
@@ -304,11 +326,11 @@ def arrows_decision(
         )
     elapsed = time.perf_counter() - started
     if assignment is None:
-        return ArrowResult("arrows", None, nodes, elapsed, exhausted=True)
+        return ArrowResult("arrows", None, nodes, elapsed)
     witness = EdgeColoring(
         G, targets.num_colors, {e: c for e, c in zip(G.edges, assignment)}
     )
-    return ArrowResult("not_arrows", witness, nodes, elapsed, exhausted=False)
+    return ArrowResult("not_arrows", witness, nodes, elapsed)
 
 
 def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
@@ -326,7 +348,7 @@ def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
         raise ValueError("CNF export needs at least 2 colors")
     edges = G.edges
     m = len(edges)
-    edge_index = {e: i for i, e in enumerate(edges)}
+    cliques_of_size = _target_clique_edges(G, targets)
 
     def var(eidx: int, color: int) -> int:
         return eidx * ell + color
@@ -338,10 +360,8 @@ def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
         for i, j in itertools.combinations(range(1, ell + 1), 2):
             clauses.append([-var(eidx, i), -var(eidx, j)])
     for color, size in enumerate(targets.sizes, start=1):
-        for W in enumerate_cliques(G, size):
-            clauses.append(
-                [-var(edge_index[B], color) for B in itertools.combinations(W, G.k)]
-            )
+        for eids in cliques_of_size[size]:
+            clauses.append([-var(eidx, color) for eidx in eids])
     lines = [
         f"c good-coloring instance: {m} edges, {ell} colors, "
         f"targets {list(targets.sizes)}, uniformity {G.k}"

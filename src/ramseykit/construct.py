@@ -204,19 +204,12 @@ def _unrank_subset(rank: int, n: int, k: int) -> Edge:
     return tuple(out)
 
 
-def sample_hypergraph(
-    n: int,
-    s: int,
-    p: float | Fraction,
-    seed: int,
-    *,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> UniformHypergraph:
+def sample_hypergraph(n: int, s: int, p: float | Fraction, seed: int) -> UniformHypergraph:
     """Binomial random s-graph on [1..n]: every s-subset is an edge
     independently with probability p.
 
     Identical (n, s, p, seed) give identical output.  With at most
-    `dense_limit` candidate subsets each candidate gets one Bernoulli
+    DEFAULT_DENSE_LIMIT candidate subsets each candidate gets one Bernoulli
     draw; otherwise the edge count is drawn from the exact binomial law
     and that many distinct subsets are chosen uniformly (rejection on
     subset ranks), which realizes the same distribution.  Realized edge
@@ -237,7 +230,7 @@ def sample_hypergraph(
             "sampling scale (needs to fit a signed 64-bit integer)"
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if total <= dense_limit:
+    if total <= DEFAULT_DENSE_LIMIT:
         mask = rng.random(total) < pf
         count = int(mask.sum())
         if count > MAX_EDGES:

@@ -36,6 +36,7 @@ __all__ = [
     "is_r_cover",
     "enumerate_minimal_nontrivial_covers",
     "phi",
+    "cover_inequality_lhs",
     "check_cover_inequality",
     "reduction_sequence",
     "expected_cover_bound",

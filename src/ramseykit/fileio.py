@@ -38,8 +38,17 @@ class FormatError(ValueError):
 
 
 def _content_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape turns each byte that is not UTF-8 into a lone
+    # surrogate, which re-encoding finds, so the error can name its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise FormatError(
+                    path, lineno, f"byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+                ) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

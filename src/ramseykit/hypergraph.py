@@ -90,16 +90,6 @@ class UniformHypergraph:
         """Vertices of nonzero degree, ascending."""
         return tuple(sorted({v for e in self.edges for v in e}))
 
-    def restrict_edges(self, keep: Iterable[Edge]) -> "UniformHypergraph":
-        """Sub-hypergraph on the same vertex set with the given edges."""
-        keep_set = set(keep)
-        bad = keep_set - self.edge_set
-        if bad:
-            raise ValueError(f"{sorted(bad)[0]} is not an edge of this hypergraph")
-        return UniformHypergraph._from_canonical(
-            self.n, self.k, tuple(e for e in self.edges if e in keep_set)
-        )
-
     def __repr__(self) -> str:  # compact; edge lists can be large
         return f"UniformHypergraph(n={self.n}, k={self.k}, edges=<{self.num_edges}>)"
 
@@ -298,5 +288,5 @@ def count_mono_clique_copies(coloring: EdgeColoring, color: int, t: int) -> int:
         raise ValueError(f"clique size t={t} below uniformity {host.k}")
     if not 1 <= color <= coloring.num_colors:
         raise ValueError(f"color {color} outside 1..{coloring.num_colors}")
-    mono = host.restrict_edges(coloring.color_class(color))
+    mono = UniformHypergraph._from_canonical(host.n, host.k, coloring.color_class(color))
     return len(enumerate_cliques(mono, t))

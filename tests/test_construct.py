@@ -27,6 +27,7 @@ from ramseykit import (
     sample_hypergraph,
     trial_seed,
 )
+from ramseykit import construct
 from ramseykit.construct import _int_nth_root, _unrank_subset
 
 from oracles import naive_conformality, naive_linearity_pairs, walk_unrank_subset
@@ -93,9 +94,10 @@ class TestSampler:
         c = sample_hypergraph(30, 3, 0.1, 12346)
         assert a != c  # overwhelmingly likely, and fixed by the seeds
 
-    def test_sparse_dense_same_distribution_shape(self):
+    def test_sparse_dense_same_distribution_shape(self, monkeypatch):
         # force the sparse path on a small instance; edges stay valid
-        H = sample_hypergraph(12, 3, 0.25, 99, dense_limit=1)
+        monkeypatch.setattr(construct, "DEFAULT_DENSE_LIMIT", 1)
+        H = sample_hypergraph(12, 3, 0.25, 99)
         assert all(len(e) == 3 for e in H.edges)
         assert H.n == 12
 

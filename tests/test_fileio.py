@@ -1,4 +1,6 @@
+import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,10 +47,14 @@ class TestHypergraphRoundTrip:
         assert H.edges == ((1, 2), (4, 5))
 
 
+# Test files are written with surrogateescape, so "\udcff" in a test
+# string stands for the raw byte 0xff, which is not UTF-8.
+
+
 class TestHypergraphParseErrors:
     def _expect(self, tmp_path, text, lineno, fragment):
         path = tmp_path / "bad.uhg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(FormatError) as err:
             read_hypergraph(path)
         assert f":{lineno}:" in str(err.value)
@@ -77,6 +83,9 @@ class TestHypergraphParseErrors:
 
     def test_non_integer(self, tmp_path):
         self._expect(tmp_path, "uhg 5 3\n1 2 x\n", 2, "not an integer")
+
+    def test_not_utf8(self, tmp_path):
+        self._expect(tmp_path, "uhg 5 3\n1 2 3\n1 \udcff 4\n", 3, "byte 0xff at column 3")
 
 
 class TestColoringRoundTrip:
@@ -108,7 +117,7 @@ class TestColoringRoundTrip:
 class TestColoringParseErrors:
     def _expect(self, tmp_path, text, fragment, host=None):
         path = tmp_path / "bad.col"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(FormatError) as err:
             read_coloring(path, host=host)
         assert fragment in str(err.value)
@@ -133,3 +142,42 @@ class TestColoringParseErrors:
 
     def test_duplicate_line(self, tmp_path):
         self._expect(tmp_path, "col 3 2 2\n1 2 1\n1 2 2\n", "duplicate")
+
+    def test_not_utf8(self, tmp_path):
+        self._expect(tmp_path, "col 3 2 2\n# caf\udce9\n1 2 1\n", ":2: byte 0xe9 at column 6")
+
+
+# Fuzzed files are built from these lines: good and broken headers and
+# edges, comments, words, huge and negative numbers, other digits,
+# bytes that are not UTF-8, and arbitrary text.
+_TOKENS = st.integers(-2, 9).map(str) | st.sampled_from(
+    ["uhg", "col", "#", "x", "1.5", "1_0", "9" * 5000, "\u0663", "\x00", "\udcff", "\udce9"]
+)
+_LINES = st.lists(_TOKENS, max_size=6).map(" ".join) | st.text(max_size=10)
+
+
+@st.composite
+def malformed_files(draw, kind):
+    fields = st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=4)
+    header = draw(fields.map(lambda xs: " ".join([kind, *xs])) | _LINES)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *draw(st.lists(_LINES, max_size=8))])
+
+
+class TestMalformedInput:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_failure_is_a_format_error_naming_the_line(self, tmp_path_factory, data):
+        kind = data.draw(st.sampled_from(["uhg", "col"]))
+        path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
+        text = data.draw(malformed_files(kind))
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+        if kind == "uhg":
+            read = read_hypergraph
+        else:
+            host = data.draw(st.none() | st.just(complete_hypergraph(3, 2)))
+            read = functools.partial(read_coloring, host=host)
+        try:
+            read(path)
+        except FormatError as err:
+            assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(err)), str(err)
