@@ -3,7 +3,9 @@
 G arrows (t_1, ..., t_l) when every l-edge-coloring of G yields a
 monochromatic complete r-graph on t_i vertices in some color i.  The
 backtracking search either exhausts the assignment tree (a proof of
-arrowing) or returns a verified good coloring.  Larger instances export
+arrowing) or returns a verified good coloring; on complete hosts it may
+skip colorings whose adjacency rows are out of lex order, which every
+coloring can be relabelled to avoid.  Larger instances export
 to DIMACS CNF for external SAT solvers.
 """
 
@@ -30,12 +32,14 @@ for n in range(3, 7):
 
 print("\n== Ramsey numbers from exhaustive search ==")
 print(f"two triangles, graphs: R = {ramsey_number(targets, 8)}")
-# triangle vs K_4: K_8 still has a good coloring, found in milliseconds;
-# exhausting K_9 proves R = 9 and takes ~20s (run in the acceptance suite)
+# triangle vs K_4: ramsey_number breaks vertex symmetry (rows of the
+# colored adjacency matrix in lex order), so exhausting K_9 takes about
+# 9k nodes instead of 29M; arrows_decision takes the same rule on request
 mixed = TargetList(2, (3, 4))
-res = arrows_decision(complete_hypergraph(8, 2), mixed)
-print(f"triangle vs K_4: K_8 is {res.verdict} "
-      f"({res.nodes_explored} nodes), so R(3,4) > 8")
+print(f"triangle vs K_4, graphs: R = {ramsey_number(mixed, 9)}")
+for n in (8, 9):
+    res = arrows_decision(complete_hypergraph(n, 2), mixed, row_lex=True)
+    print(f"  K_{n}: {res.verdict} ({res.nodes_explored} nodes with row-lex pruning)")
 
 print("\n== witness verification is exact ==")
 G = complete_hypergraph(5, 2)

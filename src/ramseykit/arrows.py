@@ -8,17 +8,61 @@ The decision engine is a depth-first search over edge-color assignments
 in a fixed order (edges lexicographic, colors 1..l), pruning a branch
 the moment an assignment completes a monochromatic target clique.  The
 verdict "arrows" is a proof only when the tree was fully exhausted;
-running out of budget raises, it never guesses.  Witnesses and node
-counts are reproducible because the order is fixed.
+running out of budget raises, it never guesses.  The verdict
+"not_arrows" carries a witness that `verify_good_coloring` has checked.
+Witnesses and node counts are reproducible because the order is fixed.
 
 The node loop is selected by r.  For r = 2 it keeps one adjacency
 bitmask per color and vertex and asks whether the common neighbourhood
 of the new edge holds a clique; for r >= 3 it keeps, per color, how many
 edges of each precomputed target clique are laid down.  The two loops
 stay separate because merging them costs speed.  Exhausting K_9 at (3,4)
-visits the same 29,196,464 nodes either way, but on a shared 2-core host
-one skeleton with callbacks took 27-31 s against 20-22 s for the r = 2
-loop, and one face-bitset loop for every r took 45-47 s against 25 s.
+without symmetry breaking, on a shared 2-core host, one skeleton with
+callbacks took 27-31 s against 20-22 s for the r = 2 loop, and one
+face-bitset loop for every r took 45-47 s against 25 s.
+
+Row-lex symmetry breaking (``row_lex=True``, complete hosts only).  A
+coloring of K_n is a symmetric matrix A with A[i][j] the color of edge
+{i, j}; row i restricted to the columns other than i and i+1 is written
+A[i]'.  The rule keeps only colorings with A[i]' <=_lex A[i+1]' for
+every i < n: the sb*_l constraint of Codish, Miller, Prosser and
+Stuckey, "Constraints for symmetry breaking in graph representation",
+Constraints 24 (2019), read with colors 1..l instead of 0/1.
+
+Soundness.  Relabelling vertices maps good colorings to good colorings,
+so it suffices that every coloring has a relabelling satisfying the
+rule.  Take the relabelling whose upper triangle, read row by row
+(the search's edge order), is lexicographically least, and suppose
+A[i]' >_lex A[i+1]' with first difference at column c.  Swap i and i+1.
+If c < i, rows 1..c-1 of the triangle are unchanged (they swap equal
+entries), and the entry at (c, i) drops from A[c][i] to A[c][i+1]; if
+c > i+1, rows 1..i-1 are unchanged for the same reason, row i keeps
+A[i][i+1] and all entries before column c, and its entry at column c
+drops from A[i][c] to A[i+1][c].  Either way the swap lowers the least
+relabelling, a contradiction.  So a good coloring exists exactly when
+one obeying the rule does, and both verdicts are unchanged.  The witness
+is unchanged too: the literal search returns the least good coloring,
+whose relabellings are all good and so no smaller; it is the least of
+its class, obeys the rule, and is met first with the rule as well.
+
+Pruning.  The comparison of rows i and i+1 reads columns in increasing
+order and stops at the first unassigned entry.  In the search's edge
+order the later of the two entries of column c is always row i+1's, at
+edge (c, i+1) for c < i and (i+1, c) for c > i+1, and these edges come
+in increasing c.  So each edge (u, v) can settle only two comparisons:
+rows (u-1, u) at column v and rows (v-1, v) at column u (when
+u < v-1); the pairs (u, u+1) and (v, v+1) still stop at an unassigned
+entry.  The search keeps one bit per row pair, set while every compared
+column was equal, and prunes a branch only when a pair that is still
+tied gets a larger color in row i than in row i+1, i.e. only when the
+rule is definitely broken.  Exhausting K_9 at (3,4) takes 29,196,464
+nodes without the rule and 8,844 with it.
+
+The rule needs a complete host: the argument relabels the host, so
+``row_lex=True`` raises ValueError on any other.  For r >= 3 it is a
+no-op.  Its analogue there, the colors of (1, ..., r-1, v) non-decreasing
+in v, left the K_8^(3) (4,5) base search at 293,995 nodes with or without
+it, so the r >= 3 loop stays literal.
 
 Instances beyond the internal search can be exported as DIMACS CNF:
 the formula is satisfiable exactly when a good coloring exists.
@@ -32,6 +76,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .construct import InternalContradictionError
 from .hypergraph import (
     Edge,
     EdgeColoring,
@@ -148,11 +193,43 @@ def verify_good_coloring(
     return ColoringCheck(True)
 
 
-def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started):
+def _row_lex_pairs(G) -> list[list[tuple[int, int]]]:
+    """Per edge index of a complete graph, the row-lex comparisons the
+    edge settles: (bit 1 << i of the row pair (i, i+1), index of row i's
+    entry in the same column).  See the module docstring."""
+    index = {e: j for j, e in enumerate(G.edges)}
+    out = []
+    for u, v in G.edges:
+        pairs = []
+        if u > 1:  # rows u-1, u at column v
+            pairs.append((1 << (u - 1), index[(u - 1, v)]))
+        if v > u + 1:  # rows v-1, v at column u
+            pairs.append((1 << (v - 1), index[(u, v - 1)]))
+        out.append(pairs)
+    return out
+
+
+def _row_lex_step(pairs, tied, assignment, color) -> int:
+    """The `tied` bits once the current edge takes `color`, or -1 when a
+    pair still tied gets a larger entry in row i than in row i+1."""
+    for bit, k in pairs:
+        if tied & bit:
+            other = assignment[k]  # row i's entry; `color` is row i+1's
+            if other > color:
+                return -1
+            if other < color:
+                tied ^= bit
+    return tied
+
+
+def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started, row_lex):
     """DFS specialized to r = 2 with per-color adjacency bitmasks."""
     edges = G.edges
     m = len(edges)
     ell = targets.num_colors
+    row_pairs = _row_lex_pairs(G) if row_lex else None
+    tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
+    tied_before = [0] * m
     # per color: how many further vertices complete the target clique
     # once an edge is laid down (target size minus the edge endpoints)
     grow = [t - 2 for t in targets.sizes]
@@ -190,6 +267,8 @@ def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started):
             a[u] &= ~(1 << v)
             a[v] &= ~(1 << u)
             assignment[j] = 0
+            if row_lex:
+                tied = tied_before[j]
             continue
         tried[j] = color
         nodes += 1
@@ -215,6 +294,12 @@ def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started):
             completes = grows_clique(a, common, size)
         if completes:
             continue  # completing a monochromatic clique; try next color
+        if row_lex:
+            after = _row_lex_step(row_pairs[j], tied, assignment, color)
+            if after < 0:
+                continue  # rows out of lex order; try next color
+            tied_before[j] = tied
+            tied = after
         a[u] |= 1 << v
         a[v] |= 1 << u
         assignment[j] = color
@@ -303,22 +388,34 @@ def arrows_decision(
     *,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
+    row_lex: bool = False,
 ) -> ArrowResult:
     """Decide whether every coloring of G hits some target clique.
 
-    Returns "not_arrows" with a verified witness coloring, or "arrows"
-    once the full assignment tree is pruned away.
-    Exceeding the budget raises SearchBudgetExceeded; an undecided
-    search never turns into a verdict.
+    Returns "not_arrows" with a witness coloring that passed
+    `verify_good_coloring` (a failing one raises
+    InternalContradictionError), or "arrows" once the full assignment
+    tree is pruned away.  Exceeding the budget raises
+    SearchBudgetExceeded; an undecided search never turns into a verdict.
+
+    With ``row_lex`` the r = 2 search skips colorings whose rows are out
+    of lex order (module docstring); verdict and witness are unchanged,
+    only the node count drops.  It requires a complete host (ValueError
+    otherwise) and does nothing for r >= 3.
     """
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
+    if row_lex and G.num_edges != comb(G.n, G.k):
+        raise ValueError(
+            f"row-lex symmetry breaking needs a complete host; this one has "
+            f"{G.num_edges} of {comb(G.n, G.k)} edges"
+        )
     started = time.perf_counter()
     if not G.edges:
         assignment, nodes = [], 0
     elif G.k == 2:
         assignment, nodes = _search_graph_bitsets(
-            G, targets, max_nodes, max_seconds, started
+            G, targets, max_nodes, max_seconds, started, row_lex
         )
     else:
         assignment, nodes = _search_clique_counters(
@@ -330,6 +427,12 @@ def arrows_decision(
     witness = EdgeColoring(
         G, targets.num_colors, {e: c for e, c in zip(G.edges, assignment)}
     )
+    check = verify_good_coloring(G, witness, targets)
+    if not check:
+        raise InternalContradictionError(
+            f"search witness has a monochromatic clique {check.vertices} in "
+            f"color {check.color}; the arrowing search must be wrong"
+        )
     return ArrowResult("not_arrows", witness, nodes, elapsed)
 
 
@@ -390,8 +493,10 @@ def ramsey_number(
     of the larger host restricts to the smaller, so the minimum over all
     r-graphs equals the minimum over complete hosts.  Hosts smaller than
     the largest target trivially fail (color everything in that target's
-    color).  Raises RamseyUndecidedError when n_max is too small, and
-    lets SearchBudgetExceeded bubble up.
+    color).  Each host is searched with row-lex symmetry breaking, which
+    keeps every verdict.  Raises RamseyUndecidedError when n_max is too
+    small, and lets SearchBudgetExceeded bubble up; the node and time
+    budgets apply to each host separately.
     """
     start = max(targets.sizes)
     for n in range(start, n_max + 1):
@@ -400,6 +505,7 @@ def ramsey_number(
             targets,
             max_nodes=max_nodes,
             max_seconds=max_seconds,
+            row_lex=True,
         )
         if result.verdict == "arrows":
             return n
@@ -420,8 +526,10 @@ def base_coloring_search(
     (s, targets, budget).
 
     Exists exactly when s is below the targets' Ramsey number; otherwise
-    raises NoGoodColoringError.  Neither that error nor an exhausted
-    budget is cached, and the cache keeps the 16 most recent colorings.
+    raises NoGoodColoringError.  The search breaks symmetry (row-lex),
+    which changes its node count but not the coloring it returns.
+    Neither that error nor an exhausted budget is cached, and the cache
+    keeps the 16 most recent colorings.
     """
     if s < targets.r:
         raise ValueError(f"need s >= r = {targets.r}, got {s}")
@@ -437,6 +545,7 @@ def _base_coloring(
         targets,
         max_nodes=max_nodes,
         max_seconds=max_seconds,
+        row_lex=True,
     )
     if result.verdict == "arrows":
         raise NoGoodColoringError(

@@ -4,7 +4,7 @@ Verbs: density, construct, witness, arrow, ramsey, experiment.  Every
 randomized verb requires an explicit --seed; given a full flag set the
 output (stdout and files) is byte-identical across runs.
 
-Exit codes: 0 success or "arrows", 1 "notarrows", 2 inconclusive
+Exit codes: 0 success or "arrows", 1 "not_arrows", 2 inconclusive
 (budget exhausted or undecided within bounds), 3 internal contradiction,
 64 usage or input errors.
 """

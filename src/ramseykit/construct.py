@@ -90,11 +90,13 @@ class NotLinearError(ValueError):
 
 
 class InternalContradictionError(RuntimeError):
-    """Cleaning failed to produce a linear, conformal hypergraph.
+    """A result that provably holds failed its independent check.
 
-    Deleting one edge per recorded configuration provably destroys every
-    violation, so reaching this state means the implementation (not the
-    input) is wrong; it must be surfaced, never patched silently.
+    Cleaning failed to produce a linear, conformal hypergraph (deleting
+    one edge per recorded configuration provably destroys every
+    violation), or the arrowing search returned a witness that is not a
+    good coloring.  Reaching this state means the implementation (not
+    the input) is wrong; it must be surfaced, never patched silently.
     """
 
 

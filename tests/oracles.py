@@ -157,6 +157,87 @@ def exhaustive_good_coloring_exists(n, k, edges, targets):
     return False
 
 
+def row_lex_ordered(n, colors):
+    """Whether, for every i < n, row i of the colored adjacency matrix of
+    K_n is lexicographically at most row i+1, both read over the columns
+    other than i and i+1.  `colors` maps each (a, b), a < b, to a color."""
+
+    def entry(i, j):
+        return colors[(min(i, j), max(i, j))]
+
+    for i in range(1, n):
+        cols = [j for j in range(1, n + 1) if j not in (i, i + 1)]
+        if [entry(i, j) for j in cols] > [entry(i + 1, j) for j in cols]:
+            return False
+    return True
+
+
+def row_lex_relabelling(n, colors):
+    """A permutation `perm` of 1..n (vertex v becomes perm[v - 1]) under
+    which the coloring of K_n is row-lex ordered, or None; tries all n!."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        relabelled = {
+            tuple(sorted((perm[a - 1], perm[b - 1]))): c for (a, b), c in colors.items()
+        }
+        if row_lex_ordered(n, relabelled):
+            return perm
+    return None
+
+
+def row_lex_broken(n, colors):
+    """Whether a partial coloring of K_n (unassigned pairs absent from
+    `colors`) already breaks row_lex_ordered: some rows i, i+1 differ,
+    over the columns other than i and i+1 read in increasing order, with
+    row i larger at the first difference, before any unassigned entry."""
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            if j in (i, i + 1):
+                continue
+            a = colors.get((min(i, j), max(i, j)))
+            b = colors.get((min(i + 1, j), max(i + 1, j)))
+            if a is None or b is None or a < b:
+                break
+            if a > b:
+                return True
+    return False
+
+
+def search_nodes(n, sizes, row_lex):
+    """Nodes the arrowing search on K_n should visit: one per color tried
+    for an edge (edges lexicographic, colors ascending), a color rejected
+    when it completes a monochromatic target or, with `row_lex`, when
+    row_lex_broken holds; stops at the first full coloring."""
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    colors = {}
+    nodes = 0
+
+    def completes(u, v, color):
+        size = sizes[color - 1]
+        others = [w for w in range(1, n + 1) if w not in (u, v)]
+        for rest in itertools.combinations(others, size - 2):
+            W = sorted((u, v) + rest)
+            if all(colors.get(e) == color for e in itertools.combinations(W, 2)):
+                return True
+        return False
+
+    def dfs(idx):
+        nonlocal nodes
+        if idx == len(edges):
+            return True
+        e = edges[idx]
+        for color in range(1, len(sizes) + 1):
+            nodes += 1
+            colors[e] = color
+            if not completes(*e, color) and not (row_lex and row_lex_broken(n, colors)):
+                if dfs(idx + 1):
+                    return True
+            del colors[e]
+        return False
+
+    dfs(0)
+    return nodes
+
+
 def parse_dimacs(text):
     """Parse a DIMACS CNF string into (num_vars, clauses)."""
     num_vars = None

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from ramseykit import (
     EdgeColoring,
+    InternalContradictionError,
     NoGoodColoringError,
     RamseyUndecidedError,
     SearchBudgetExceeded,
     TargetList,
     UniformHypergraph,
+    arrows,
     arrows_decision,
     base_coloring_search,
     complete_hypergraph,
@@ -22,7 +24,11 @@ from oracles import (
     count_good_colorings_graph,
     dpll_satisfiable,
     exhaustive_good_coloring_exists,
+    naive_cliques,
     parse_dimacs,
+    row_lex_ordered,
+    row_lex_relabelling,
+    search_nodes,
 )
 
 
@@ -149,6 +155,142 @@ class TestArrowsDecision:
         targets = TargetList(2, (3, 3))
         if arrows_decision(small, targets).verdict == "arrows":
             assert arrows_decision(big, targets).verdict == "arrows"
+
+
+def _is_good(n, colors, sizes):
+    """Oracle check: no color class of the K_n coloring holds its target."""
+    return not any(
+        naive_cliques(n, 2, [e for e, c in colors.items() if c == color], size)
+        for color, size in enumerate(sizes, start=1)
+    )
+
+
+# complete hosts on which the rule is checked against the literal search
+_ROW_LEX_CASES = [
+    (sizes, n)
+    for sizes, n_max in (((3, 3), 8), ((3, 4), 8), ((4, 4), 8), ((3, 5), 8), ((3, 3, 3), 7))
+    for n in range(0, n_max + 1)
+]
+
+
+class TestRowLexSymmetryBreaking:
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
+    def test_every_good_coloring_has_a_row_lex_relabelling(self, sizes):
+        # the soundness lemma, by brute force over every 2-coloring of K_n
+        for n in range(2, 6):
+            edges = list(itertools.combinations(range(1, n + 1), 2))
+            good = 0
+            for colors in itertools.product((1, 2), repeat=len(edges)):
+                coloring = dict(zip(edges, colors))
+                if _is_good(n, coloring, sizes):
+                    good += 1
+                    assert row_lex_relabelling(n, coloring) is not None, coloring
+            assert good > 0
+
+    def test_predicate_compares_adjacent_rows(self):
+        # K_3: rows 1 and 2 are compared at column 3 only, rows 2 and 3
+        # at column 1 only
+        ordered = {(1, 2): 1, (1, 3): 1, (2, 3): 2}
+        broken = {(1, 2): 1, (1, 3): 2, (2, 3): 1}  # rows 1, 2 read 2 > 1
+        assert row_lex_ordered(3, ordered)
+        assert not row_lex_ordered(3, broken)
+        assert row_lex_relabelling(3, broken) is not None
+
+    @pytest.mark.parametrize("sizes,n", _ROW_LEX_CASES)
+    def test_verdict_matches_literal_search(self, sizes, n):
+        G = complete_hypergraph(n, 2)
+        targets = TargetList(2, sizes)
+        with_rule = arrows_decision(G, targets, row_lex=True)
+        literal = arrows_decision(G, targets)
+        assert with_rule.verdict == literal.verdict
+        # the literal search's first witness is the least of its class
+        assert with_rule.witness == literal.witness
+        assert with_rule.nodes_explored <= literal.nodes_explored
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4), (4, 4), (3, 3, 3)])
+    def test_node_counts_match_the_full_row_check(self, sizes):
+        # checking only the two row pairs an edge can settle, with one
+        # tied bit per pair, prunes exactly the branches that a check of
+        # every row pair over the partial coloring prunes
+        targets = TargetList(2, sizes)
+        for n in range(2, 9 if len(sizes) == 2 else 8):
+            G = complete_hypergraph(n, 2)
+            for row_lex in (False, True):
+                result = arrows_decision(G, targets, row_lex=row_lex)
+                assert result.nodes_explored == search_nodes(n, sizes, row_lex), (n, row_lex)
+
+    @pytest.mark.parametrize("sizes,n", _ROW_LEX_CASES)
+    def test_witness_is_good_and_row_lex(self, sizes, n):
+        G = complete_hypergraph(n, 2)
+        targets = TargetList(2, sizes)
+        result = arrows_decision(G, targets, row_lex=True)
+        if result.verdict == "not_arrows":
+            assert verify_good_coloring(G, result.witness, targets)
+            assert row_lex_ordered(n, result.witness.assignment)
+            assert _is_good(n, result.witness.assignment, sizes)
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
+    def test_verdict_matches_dpll(self, sizes):
+        targets = TargetList(2, sizes)
+        for n in range(2, 7):
+            G = complete_hypergraph(n, 2)
+            sat = dpll_satisfiable(*parse_dimacs(export_cnf(G, targets)))
+            verdict = arrows_decision(G, targets, row_lex=True).verdict
+            assert (verdict == "not_arrows") == sat, n
+
+    def test_rejects_incomplete_host(self):
+        missing_edge = UniformHypergraph(
+            5, 2, [e for e in complete_hypergraph(5, 2).edges if e != (2, 4)]
+        )
+        with pytest.raises(ValueError, match="complete host"):
+            arrows_decision(missing_edge, TargetList(2, (3, 3)), row_lex=True)
+        with pytest.raises(ValueError, match="complete host"):
+            arrows_decision(UniformHypergraph(5, 2, []), TargetList(2, (3, 3)), row_lex=True)
+        minus_one = UniformHypergraph(
+            5, 3, [e for e in complete_hypergraph(5, 3).edges if e != (1, 2, 3)]
+        )
+        with pytest.raises(ValueError, match="complete host"):
+            arrows_decision(minus_one, TargetList(3, (4, 4)), row_lex=True)
+
+    def test_no_op_for_three_uniform(self):
+        G = complete_hypergraph(6, 3)
+        targets = TargetList(3, (4, 4))
+        with_rule = arrows_decision(G, targets, row_lex=True)
+        literal = arrows_decision(G, targets)
+        assert with_rule.verdict == literal.verdict
+        assert with_rule.nodes_explored == literal.nodes_explored
+        assert with_rule.witness == literal.witness
+
+    def test_k9_34_exhausts_within_20000_nodes(self):
+        # the literal search visits 29,196,464 nodes here
+        result = arrows_decision(
+            complete_hypergraph(9, 2), TargetList(2, (3, 4)), row_lex=True,
+            max_nodes=20_000,
+        )
+        assert result.verdict == "arrows"
+
+    def test_r34_within_the_s_auto_budget(self):
+        # 200,000 nodes per host is `witness --s-auto`'s budget
+        assert ramsey_number(TargetList(2, (3, 4)), 16, max_nodes=200_000) == 9
+
+
+class TestWitnessVerification:
+    def test_bad_search_witness_raises(self, monkeypatch):
+        # a search that colors every edge 1 would hand back a red triangle
+        monkeypatch.setattr(
+            arrows, "_search_graph_bitsets",
+            lambda G, *_args: ([1] * G.num_edges, G.num_edges),
+        )
+        with pytest.raises(InternalContradictionError, match=r"\(1, 2, 3\) in color 1"):
+            arrows_decision(complete_hypergraph(4, 2), TargetList(2, (3, 3)))
+
+    def test_bad_three_uniform_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            arrows, "_search_clique_counters",
+            lambda G, *_args: ([2] * G.num_edges, G.num_edges),
+        )
+        with pytest.raises(InternalContradictionError, match="in color 2"):
+            arrows_decision(complete_hypergraph(5, 3), TargetList(3, (4, 4)))
 
 
 class TestExportCnf:

@@ -222,6 +222,25 @@ class TestInternalContradictionExit:
         assert code == 3
         assert "internal contradiction" in err
 
+    def test_arrow_maps_bad_witness_to_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a search witness that fails verification is never written
+        from ramseykit import arrows
+
+        monkeypatch.setattr(
+            arrows, "_search_graph_bitsets",
+            lambda G, *_args: ([1] * G.num_edges, G.num_edges),
+        )
+        k4 = tmp_path / "k4.uhg"
+        write_hypergraph(complete_hypergraph(4, 2), k4)
+        witness = tmp_path / "w.col"
+        code, out, err = run(
+            capsys, "arrow", str(k4), "--targets", "3,3", "--witness-out", str(witness),
+        )
+        assert code == 3
+        assert out == ""
+        assert "internal contradiction" in err
+        assert not witness.exists()
+
 
 class TestRamseyVerb:
     def test_value(self, capsys, schema):
@@ -284,6 +303,14 @@ class TestExperimentVerb:
 
 
 class TestEntryPoint:
+    def test_help_names_the_not_arrows_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert '1 "not_arrows"' in out
+        assert "notarrows" not in out
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ramseykit.cli", "density", "--clique", "5,3"],
