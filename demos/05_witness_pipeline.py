@@ -38,7 +38,7 @@ print(f"   {report.num_linearity_violations} overlap pairs, "
       f"{report.num_cover_violations} cover violations, "
       f"deleted {len(report.deleted)}; survivor has {H0.num_edges} edges")
 
-print("3. base coloring: a good 2-coloring of K_5 (search + cache)")
+print("3. base coloring: a good 2-coloring of K_5 (row-lex search)")
 base = base_coloring_search(s, targets)
 print(f"   red class {base.color_class(1)} (a 5-cycle)")
 

@@ -73,7 +73,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .construct import InternalContradictionError
@@ -160,7 +159,6 @@ class ArrowResult:
     verdict: str  # "arrows" | "not_arrows"
     witness: EdgeColoring | None
     nodes_explored: int
-    elapsed: float
 
     @property
     def exhausted(self) -> bool:
@@ -421,9 +419,8 @@ def arrows_decision(
         assignment, nodes = _search_clique_counters(
             G, targets, max_nodes, max_seconds, started
         )
-    elapsed = time.perf_counter() - started
     if assignment is None:
-        return ArrowResult("arrows", None, nodes, elapsed)
+        return ArrowResult("arrows", None, nodes)
     witness = EdgeColoring(
         G, targets.num_colors, {e: c for e, c in zip(G.edges, assignment)}
     )
@@ -433,7 +430,7 @@ def arrows_decision(
             f"search witness has a monochromatic clique {check.vertices} in "
             f"color {check.color}; the arrowing search must be wrong"
         )
-    return ArrowResult("not_arrows", witness, nodes, elapsed)
+    return ArrowResult("not_arrows", witness, nodes)
 
 
 def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
@@ -522,24 +519,14 @@ def base_coloring_search(
     max_nodes: int | None = None,
     max_seconds: float | None = None,
 ) -> EdgeColoring:
-    """A good coloring of the complete r-graph on [1..s], cached per
-    (s, targets, budget).
+    """A good coloring of the complete r-graph on [1..s].
 
     Exists exactly when s is below the targets' Ramsey number; otherwise
     raises NoGoodColoringError.  The search breaks symmetry (row-lex),
     which changes its node count but not the coloring it returns.
-    Neither that error nor an exhausted budget is cached, and the cache
-    keeps the 16 most recent colorings.
     """
     if s < targets.r:
         raise ValueError(f"need s >= r = {targets.r}, got {s}")
-    return _base_coloring(s, targets, max_nodes, max_seconds)
-
-
-@lru_cache(maxsize=16)
-def _base_coloring(
-    s: int, targets: TargetList, max_nodes: int | None, max_seconds: float | None
-) -> EdgeColoring:
     result = arrows_decision(
         complete_hypergraph(s, targets.r),
         targets,

@@ -31,10 +31,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from statistics import fmean
-from typing import Sequence
 
 import numpy as np
 
@@ -178,24 +176,29 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-@lru_cache(maxsize=8)
 def _comb_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    # table[j][m] = C(m, j); one table per (n, k) keeps unranking cheap
-    return tuple(tuple(comb(m, j) for m in range(n + 1)) for j in range(k + 1))
+    # table[j][m] = C(m, j) for 0 <= j <= k, 0 <= m <= n; row j comes from
+    # row j - 1 by the hockey-stick identity C(m, j) = sum_{i<m} C(i, j-1)
+    rows = [(1,) * (n + 1)]
+    for _ in range(k):
+        rows.append(tuple(itertools.accumulate(rows[-1][:-1], initial=0)))
+    return tuple(rows)
 
 
-def _unrank_subset(rank: int, n: int, k: int) -> Edge:
-    """The rank-th k-subset of 1..n in lexicographic order (0-based rank).
+def _unrank_subset(rank: int, table: tuple[tuple[int, ...], ...]) -> Edge:
+    """The rank-th k-subset of 1..n in lexicographic order (0-based rank),
+    where ``table = _comb_table(n, k)``.
 
     Counted from the last subset, q = C(n, k) - 1 - rank has the unique
     combinatorial-number-system form q = C(c_k, k) + ... + C(c_1, 1)
     with n > c_k > ... > c_1 >= 0, and the subset is {n - c_j}
     (Knuth, TAOCP 7.2.1.3).  Each c_j is the largest c with
-    C(c, j) <= q, found by bisecting column j of the cached table, so
-    one subset costs O(k log n) instead of a walk over 1..n.  The rank
-    -> subset map is the same lexicographic bijection as that walk.
+    C(c, j) <= q, found by bisecting row j of the table, so one subset
+    costs O(k log n) instead of a walk over 1..n.  The rank -> subset
+    map is the same lexicographic bijection as that walk.
     """
-    table = _comb_table(n, k)
+    k = len(table) - 1
+    n = len(table[0]) - 1
     q = table[k][n] - 1 - rank
     out = []
     c = n
@@ -236,14 +239,14 @@ def sample_hypergraph(n: int, s: int, p: float | Fraction, seed: int) -> Uniform
         mask = rng.random(total) < pf
         count = int(mask.sum())
         if count > MAX_EDGES:
-            raise ValueError(f"sampled {count} edges, above max_edges={MAX_EDGES}")
+            raise ValueError(f"sampled {count} edges, above MAX_EDGES={MAX_EDGES}")
         edges = tuple(
             itertools.compress(itertools.combinations(range(1, n + 1), s), mask)
         )
         return UniformHypergraph._from_canonical(n, s, edges)
     count = int(rng.binomial(total, pf))
     if count > MAX_EDGES:
-        raise ValueError(f"sampled {count} edges, above max_edges={MAX_EDGES}")
+        raise ValueError(f"sampled {count} edges, above MAX_EDGES={MAX_EDGES}")
     chosen: set[int] = set()
     need = count
     while need > 0:
@@ -255,7 +258,8 @@ def sample_hypergraph(n: int, s: int, p: float | Fraction, seed: int) -> Uniform
                 need -= 1
                 if need == 0:
                     break
-    edges = tuple(sorted(_unrank_subset(rank, n, s) for rank in chosen))
+    table = _comb_table(n, s)
+    edges = tuple(sorted(_unrank_subset(rank, table) for rank in chosen))
     return UniformHypergraph._from_canonical(n, s, edges)
 
 
@@ -455,7 +459,6 @@ def lift_coloring(
 
 @dataclass(frozen=True)
 class TrialRecord:
-    index: int
     seed: int
     edges_sampled: int
     cover_violations: int
@@ -577,11 +580,10 @@ def run_trials(
     from the master seed alone.
     """
     records = []
-    for i, (seed, H) in enumerate(_trial_hypergraphs(n, s, p, trials, master_seed)):
+    for seed, H in _trial_hypergraphs(n, s, p, trials, master_seed):
         report = clean(H, r, t)
         records.append(
             TrialRecord(
-                index=i,
                 seed=seed,
                 edges_sampled=H.num_edges,
                 cover_violations=report.num_cover_violations,
@@ -615,14 +617,17 @@ def estimate_cover_count(
     p: float | Fraction,
     trials: int,
     master_seed: int,
-    target: Sequence[int] | None = None,
 ) -> CoverCountEstimate:
-    """Estimate E(X_W) for W = `target` (default [1..t]) by sampling."""
+    """Estimate E(X_W) for W = [1..t] by sampling.
+
+    H(n, s, p) is invariant under every permutation of [1..n], and such
+    a permutation maps the minimal non-trivial covers of one t-set onto
+    those of its image, so E(X_W) is the same for every t-set W and
+    W = [1..t] stands for all of them.
+    """
     if not (s >= t > r >= 2):
         raise ValueError(f"need s >= t > r >= 2, got s={s}, t={t}, r={r}")
-    W = tuple(range(1, t + 1)) if target is None else tuple(sorted(target))
-    if len(W) != t:
-        raise ValueError(f"target must have t={t} vertices, got {len(W)}")
+    W = tuple(range(1, t + 1))
     wset = set(W)
     counts = []
     for _, H in _trial_hypergraphs(n, s, p, trials, master_seed):

@@ -110,7 +110,7 @@ def enumerate_minimal_nontrivial_covers(
     candidates containing all of W (any family containing one is
     reducible to the trivial cover, hence non-minimal).
 
-    The search branches on the lexicographically first uncovered
+    The search branches on the lexicographically last uncovered
     r-subset and only adds candidates covering it; options already
     branched on at a node are excluded below it, so every family is
     produced exactly once.  A final remove-one check enforces
@@ -158,7 +158,7 @@ def enumerate_minimal_nontrivial_covers(
                 found.append(tuple(kept[i] for i in sorted(chosen)))
             return
         branch_bit = (~covered & full).bit_length() - 1
-        # options: allowed candidates covering the first uncovered r-subset
+        # options: allowed candidates covering the last uncovered r-subset
         options = [i for i in allowed if masks[i] >> branch_bit & 1]
         for pos, idx in enumerate(options):
             remaining = [i for i in allowed if i not in options[: pos + 1]]

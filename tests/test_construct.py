@@ -28,7 +28,7 @@ from ramseykit import (
     trial_seed,
 )
 from ramseykit import construct
-from ramseykit.construct import _int_nth_root, _unrank_subset
+from ramseykit.construct import _comb_table, _int_nth_root, _unrank_subset
 
 from oracles import naive_conformality, naive_linearity_pairs, walk_unrank_subset
 
@@ -103,22 +103,34 @@ class TestSampler:
 
     def test_unrank_subset_bijection(self):
         n, k = 9, 3
-        subsets = [_unrank_subset(i, n, k) for i in range(math.comb(n, k))]
+        table = _comb_table(n, k)
+        subsets = [_unrank_subset(i, table) for i in range(math.comb(n, k))]
         assert subsets == list(itertools.combinations(range(1, n + 1), k))
 
     def test_unrank_subset_matches_walk_exhaustively(self):
         for n in range(2, 13):
             for k in range(2, n + 1):
+                table = _comb_table(n, k)
                 for rank in range(math.comb(n, k)):
-                    assert _unrank_subset(rank, n, k) == walk_unrank_subset(rank, n, k)
+                    assert _unrank_subset(rank, table) == walk_unrank_subset(rank, n, k)
 
     @pytest.mark.parametrize("n, k", [(10000, 5), (500, 8)])
     def test_unrank_subset_matches_walk_at_scale(self, n, k):
         total = math.comb(n, k)
         rng = np.random.Generator(np.random.PCG64(2024))
         ranks = [0, total - 1] + [int(x) for x in rng.integers(0, total, size=2000)]
+        table = _comb_table(n, k)
         for rank in ranks:
-            assert _unrank_subset(rank, n, k) == walk_unrank_subset(rank, n, k)
+            assert _unrank_subset(rank, table) == walk_unrank_subset(rank, n, k)
+
+    @pytest.mark.parametrize("n, s, p", [(12, 3, 0.5), (40, 5, 0.01)])
+    def test_refuses_more_than_max_edges(self, monkeypatch, n, s, p):
+        # C(12,3) = 220 takes the Bernoulli path, C(40,5) = 658008 the
+        # rank path once the dense limit is lowered below it
+        monkeypatch.setattr(construct, "DEFAULT_DENSE_LIMIT", 1000)
+        monkeypatch.setattr(construct, "MAX_EDGES", 5)
+        with pytest.raises(ValueError, match=r"above MAX_EDGES=5"):
+            sample_hypergraph(n, s, p, 0)
 
     def test_mean_edge_count_within_three_stderr(self):
         # binomial mean 0.1 * C(30,3) = 406, sd = sqrt(N p (1-p))
