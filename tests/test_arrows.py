@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -140,6 +141,27 @@ class TestArrowsDecision:
         assert (res.verdict == "not_arrows") == oracle
         if res.witness is not None:
             assert verify_good_coloring(G, res.witness, targets)
+
+    @pytest.mark.parametrize(
+        "n, nodes", [(4, 5), (5, 21), (6, 260), (7, 22_647)]
+    )
+    def test_three_uniform_node_counts_pinned(self, n, nodes):
+        # recorded before the r = 2 and r >= 3 loops were merged
+        res = arrows_decision(complete_hypergraph(n, 3), TargetList(3, (4, 4)))
+        assert res.nodes_explored == nodes
+
+    def test_witness_r3_base_search_pinned(self):
+        # the K_8^(3) (4,5) base coloring that `witness_r3` lifts; `.col`
+        # files are left out of every golden digest, so it is pinned here
+        res = arrows_decision(
+            complete_hypergraph(8, 3), TargetList(3, (4, 5)), row_lex=True
+        )
+        assert res.verdict == "not_arrows"
+        assert res.nodes_explored == 293_995
+        text = repr(sorted(res.witness.assignment.items())).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "f86df675ae9ac764b3609b428335e5061c437a00b87710c83874771d39a4fb8e"
+        )
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
