@@ -12,14 +12,19 @@ running out of budget raises, it never guesses.  The verdict
 "not_arrows" carries a witness that `verify_good_coloring` has checked.
 Witnesses and node counts are reproducible because the order is fixed.
 
-The node loop is selected by r.  For r = 2 it keeps one adjacency
-bitmask per color and vertex and asks whether the common neighbourhood
-of the new edge holds a clique; for r >= 3 it keeps, per color, how many
-edges of each precomputed target clique are laid down.  The two loops
-stay separate because merging them costs speed.  Exhausting K_9 at (3,4)
-without symmetry breaking, on a shared 2-core host, one skeleton with
-callbacks took 27-31 s against 20-22 s for the r = 2 loop, and one
-face-bitset loop for every r took 45-47 s against 25 s.
+One node loop serves every r and picks its per-color state by r.  For
+r = 2 it keeps one adjacency bitmask per color and vertex and asks
+whether the common neighbourhood of the new edge holds a clique; for
+r >= 3 it keeps, per color, how many edges of each precomputed target
+clique are laid down.  The choice is one inline `if` in the forward step
+and one in the backtrack, never a per-node callback: a callback skeleton
+exhausted the literal K_9 (3,4) search in 27-31 s against 20-22 s, and
+sending r = 2 through the clique counters took that search to 10^6 nodes
+from 0.74 s to 2.0 s.  Merged, the loop ran the K_8^(3) (4,5) base search
+in 0.41-0.48 s (0.45-0.47 s with two loops), the literal K_9 (3,4)
+search to 10^6 nodes in 0.76-0.87 s (the same with two loops) and the
+row-lex K_13 (3,5) witness in 5.6-5.8 s (5.9-6.3 s), three interleaved
+in-process runs each on a shared 2-core host.
 
 Row-lex symmetry breaking (``row_lex=True``, complete hosts only).  A
 coloring of K_n is a symmetric matrix A with A[i][j] the color of edge
@@ -62,7 +67,7 @@ The rule needs a complete host: the argument relabels the host, so
 ``row_lex=True`` raises ValueError on any other.  For r >= 3 it is a
 no-op.  Its analogue there, the colors of (1, ..., r-1, v) non-decreasing
 in v, left the K_8^(3) (4,5) base search at 293,995 nodes with or without
-it, so the r >= 3 loop stays literal.
+it, so the search stays literal for r >= 3.
 
 Instances beyond the internal search can be exported as DIMACS CNF:
 the formula is satisfiable exactly when a good coloring exists.
@@ -220,34 +225,50 @@ def _row_lex_step(pairs, tied, assignment, color) -> int:
     return tied
 
 
-def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started, row_lex):
-    """DFS specialized to r = 2 with per-color adjacency bitmasks."""
+def _grows_clique(a: list[int], mask: int, size: int) -> bool:
+    """Is there a `size`-clique of the color with adjacency masks `a`
+    inside the vertex mask `mask`?"""
+    if size == 0:
+        return True
+    if size == 1:
+        return mask != 0
+    while mask:
+        low = mask & -mask
+        w = low.bit_length() - 1
+        mask ^= low
+        if mask.bit_count() + 1 < size:
+            return False
+        if _grows_clique(a, mask & a[w], size - 1):
+            return True
+    return False
+
+
+def _search(G, targets, max_nodes, max_seconds, started, row_lex):
+    """The DFS over edge colors; (assignment, nodes), assignment None when
+    the tree is exhausted.  The per-color state is picked by r: adjacency
+    bitmasks when r = 2, counters over the target cliques when r >= 3."""
     edges = G.edges
     m = len(edges)
     ell = targets.num_colors
-    row_pairs = _row_lex_pairs(G) if row_lex else None
-    tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
-    tied_before = [0] * m
-    # per color: how many further vertices complete the target clique
-    # once an edge is laid down (target size minus the edge endpoints)
-    grow = [t - 2 for t in targets.sizes]
-    adj = [[0] * (G.n + 1) for _ in range(ell)]
-
-    def grows_clique(a: list[int], mask: int, size: int) -> bool:
-        # is there a `size`-clique (in color a) inside `mask`?
-        if size == 0:
-            return True
-        if size == 1:
-            return mask != 0
-        while mask:
-            low = mask & -mask
-            w = low.bit_length() - 1
-            mask ^= low
-            if mask.bit_count() + 1 < size:
-                return False
-            if grows_clique(a, mask & a[w], size - 1):
-                return True
-        return False
+    graph = G.k == 2
+    if graph:
+        # per color: how many further vertices complete the target clique
+        # once an edge is laid down (target size minus the edge endpoints)
+        grow = [t - 2 for t in targets.sizes]
+        adj = [[0] * (G.n + 1) for _ in range(ell)]
+        row_pairs = _row_lex_pairs(G) if row_lex else None
+        tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
+        tied_before = [0] * m
+    else:
+        cliques_of_size = _target_clique_edges(G, targets)
+        per_color = []
+        for t in targets.sizes:
+            cliques = cliques_of_size[t]
+            through: list[list[int]] = [[] for _ in range(m)]
+            for cid, eids in enumerate(cliques):
+                for eidx in eids:
+                    through[eidx].append(cid)
+            per_color.append((through, [0] * len(cliques), comb(t, G.k)))
 
     assignment = [0] * m
     tried = [0] * m
@@ -260,101 +281,70 @@ def _search_graph_bitsets(G, targets, max_nodes, max_seconds, started, row_lex):
             j -= 1
             if j < 0:
                 return None, nodes  # exhausted
+            if graph:
+                u, v = edges[j]
+                a = adj[assignment[j] - 1]
+                a[u] &= ~(1 << v)
+                a[v] &= ~(1 << u)
+                if row_lex:
+                    tied = tied_before[j]
+            else:
+                through, counts, _need = per_color[assignment[j] - 1]
+                for cid in through[j]:
+                    counts[cid] -= 1
+            assignment[j] = 0
+            continue
+        tried[j] = color
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SearchBudgetExceeded(nodes, time.perf_counter() - started)
+        if max_seconds is not None and nodes & 4095 == 0:
+            elapsed = time.perf_counter() - started
+            if elapsed > max_seconds:
+                raise SearchBudgetExceeded(nodes, elapsed)
+        if graph:
             u, v = edges[j]
-            a = adj[assignment[j] - 1]
-            a[u] &= ~(1 << v)
-            a[v] &= ~(1 << u)
-            assignment[j] = 0
+            a = adj[color - 1]
+            common = a[u] & a[v]
+            size = grow[color - 1]
+            if size == 1:
+                completes = common != 0
+            elif size == 2:
+                completes = False
+                while common:
+                    low = common & -common
+                    common ^= low
+                    if a[low.bit_length() - 1] & common:
+                        completes = True
+                        break
+            else:
+                completes = _grows_clique(a, common, size)
+            if completes:
+                continue  # completing a monochromatic clique; try next color
+            # the row-lex hook sits in the r = 2 branch only: arrows_decision
+            # never passes row_lex for r >= 3
             if row_lex:
-                tied = tied_before[j]
-            continue
-        tried[j] = color
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise SearchBudgetExceeded(nodes, time.perf_counter() - started)
-        if max_seconds is not None and nodes & 4095 == 0:
-            _check_time(nodes, max_seconds, started)
-        u, v = edges[j]
-        a = adj[color - 1]
-        common = a[u] & a[v]
-        size = grow[color - 1]
-        if size == 1:
-            completes = common != 0
-        elif size == 2:
-            completes = False
-            while common:
-                low = common & -common
-                common ^= low
-                if a[low.bit_length() - 1] & common:
-                    completes = True
-                    break
+                after = _row_lex_step(row_pairs[j], tied, assignment, color)
+                if after < 0:
+                    continue  # rows out of lex order; try next color
+                tied_before[j] = tied
+                tied = after
+            a[u] |= 1 << v
+            a[v] |= 1 << u
         else:
-            completes = grows_clique(a, common, size)
-        if completes:
-            continue  # completing a monochromatic clique; try next color
-        if row_lex:
-            after = _row_lex_step(row_pairs[j], tied, assignment, color)
-            if after < 0:
-                continue  # rows out of lex order; try next color
-            tied_before[j] = tied
-            tied = after
-        a[u] |= 1 << v
-        a[v] |= 1 << u
-        assignment[j] = color
-        j += 1
-        if j == m:
-            return list(assignment), nodes
-
-
-def _search_clique_counters(G, targets, max_nodes, max_seconds, started):
-    """Generic DFS: per-color counters over precomputed target cliques."""
-    m = len(G.edges)
-    ell = targets.num_colors
-    cliques_of_size = _target_clique_edges(G, targets)
-    per_color = []
-    for t in targets.sizes:
-        cliques = cliques_of_size[t]
-        through: list[list[int]] = [[] for _ in range(m)]
-        for cid, eids in enumerate(cliques):
-            for eidx in eids:
-                through[eidx].append(cid)
-        per_color.append((through, [0] * len(cliques), comb(t, G.k)))
-
-    assignment = [0] * m
-    tried = [0] * m
-    nodes = 0
-    j = 0
-    while True:
-        color = tried[j] + 1
-        if color > ell:
-            tried[j] = 0
-            j -= 1
-            if j < 0:
-                return None, nodes
-            through, counts, _need = per_color[assignment[j] - 1]
-            for cid in through[j]:
-                counts[cid] -= 1
-            assignment[j] = 0
-            continue
-        tried[j] = color
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise SearchBudgetExceeded(nodes, time.perf_counter() - started)
-        if max_seconds is not None and nodes & 4095 == 0:
-            _check_time(nodes, max_seconds, started)
-        through, counts, need = per_color[color - 1]
-        lst = through[j]
-        completed = -1
-        for pos, cid in enumerate(lst):
-            grown = counts[cid] + 1
-            counts[cid] = grown
-            if grown == need:
-                completed = pos
-                break
-        if completed >= 0:
-            for pos in range(completed + 1):
-                counts[lst[pos]] -= 1
-            continue
+            through, counts, need = per_color[color - 1]
+            lst = through[j]
+            completed = -1
+            for pos, cid in enumerate(lst):
+                grown = counts[cid] + 1
+                counts[cid] = grown
+                if grown == need:
+                    completed = pos
+                    break
+            if completed >= 0:
+                for pos in range(completed + 1):
+                    counts[lst[pos]] -= 1
+                continue  # completing a monochromatic clique; try next color
         assignment[j] = color
         j += 1
         if j == m:
@@ -373,11 +363,6 @@ def _target_clique_edges(G, targets) -> dict[int, list[list[int]]]:
         ]
         for t in set(targets.sizes)
     }
-
-
-def _check_time(nodes, max_seconds, started):
-    if time.perf_counter() - started > max_seconds:
-        raise SearchBudgetExceeded(nodes, time.perf_counter() - started)
 
 
 def arrows_decision(
@@ -411,13 +396,9 @@ def arrows_decision(
     started = time.perf_counter()
     if not G.edges:
         assignment, nodes = [], 0
-    elif G.k == 2:
-        assignment, nodes = _search_graph_bitsets(
-            G, targets, max_nodes, max_seconds, started, row_lex
-        )
     else:
-        assignment, nodes = _search_clique_counters(
-            G, targets, max_nodes, max_seconds, started
+        assignment, nodes = _search(
+            G, targets, max_nodes, max_seconds, started, row_lex and G.k == 2
         )
     if assignment is None:
         return ArrowResult("arrows", None, nodes)

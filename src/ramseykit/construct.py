@@ -481,9 +481,12 @@ class TrialStats:
     r: int
     t: int
     p: Fraction
-    trials: int
     master_seed: int
     records: tuple[TrialRecord, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
 
     @property
     def mean_edges(self) -> float:
@@ -593,8 +596,8 @@ def run_trials(
             )
         )
     return TrialStats(
-        n=n, s=s, r=r, t=t, p=Fraction(p), trials=trials,
-        master_seed=master_seed, records=tuple(records),
+        n=n, s=s, r=r, t=t, p=Fraction(p), master_seed=master_seed,
+        records=tuple(records),
     )
 
 
@@ -603,7 +606,6 @@ class CoverCountEstimate:
     """Monte Carlo estimate of the expected number of minimal
     non-trivial r-covers of a fixed t-set by edges of H(n, s, p)."""
 
-    target: tuple[int, ...]
     trials: int
     mean: float
     std_error: float
@@ -642,4 +644,4 @@ def estimate_cover_count(
         std_error = (var / trials) ** 0.5
     else:
         std_error = float("inf")
-    return CoverCountEstimate(target=W, trials=trials, mean=mean, std_error=std_error)
+    return CoverCountEstimate(trials=trials, mean=mean, std_error=std_error)

@@ -126,6 +126,7 @@ def enumerate_minimal_nontrivial_covers(
     masks: list[int] = []
     rsubs = list(itertools.combinations(target, r))
     sub_index = {B: i for i, B in enumerate(rsubs)}
+    covering = [0] * len(rsubs)  # per r-subset: bitmask of kept candidates over it
     for cand in cands:
         cset = set(cand)
         inter = cset & target_set
@@ -133,12 +134,12 @@ def enumerate_minimal_nontrivial_covers(
             continue
         mask = 0
         for B in itertools.combinations(sorted(inter), r):
-            mask |= 1 << sub_index[B]
+            bit = sub_index[B]
+            mask |= 1 << bit
+            covering[bit] |= 1 << len(kept)
         kept.append(cand)
         masks.append(mask)
     full = (1 << len(rsubs)) - 1
-    if full == 0:
-        return []
 
     found: list[tuple[VertexSet, ...]] = []
 
@@ -152,23 +153,24 @@ def enumerate_minimal_nontrivial_covers(
                 return False
         return True
 
-    def search(chosen: list[int], covered: int, allowed: list[int]) -> None:
+    def search(chosen: list[int], covered: int, allowed: int) -> None:
         if covered == full:
             if len(chosen) >= 2 and minimal(chosen):
                 found.append(tuple(kept[i] for i in sorted(chosen)))
             return
-        branch_bit = (~covered & full).bit_length() - 1
         # options: allowed candidates covering the last uncovered r-subset
-        options = [i for i in allowed if masks[i] >> branch_bit & 1]
-        for pos, idx in enumerate(options):
-            remaining = [i for i in allowed if i not in options[: pos + 1]]
+        options = allowed & covering[(~covered & full).bit_length() - 1]
+        while options:
+            low = options & -options
+            options ^= low
+            allowed ^= low  # excluded below this node once branched on
+            idx = low.bit_length() - 1
             chosen.append(idx)
-            search(chosen, covered | masks[idx], remaining)
+            search(chosen, covered | masks[idx], allowed)
             chosen.pop()
 
-    search([], 0, list(range(len(kept))))
-    families = sorted(set(found))
-    return [CoverFamily(target, r, members) for members in families]
+    search([], 0, (1 << len(kept)) - 1)
+    return [CoverFamily(target, r, members) for members in sorted(found)]
 
 
 def phi(family: CoverFamily, t: int) -> Fraction:

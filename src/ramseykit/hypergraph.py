@@ -32,6 +32,8 @@ __all__ = [
 
 Edge = tuple[int, ...]
 
+MAX_SUPPORT = 18  # largest support the max-density subset scan accepts
+
 
 def _canonical_edge(edge: Iterable[int], k: int, n: int) -> Edge:
     vals = [int(v) for v in edge]
@@ -156,7 +158,7 @@ def primal_r_graph(H: UniformHypergraph, r: int) -> UniformHypergraph:
 
 
 def max_r_density_with_witness(
-    F: UniformHypergraph, *, max_support: int = 18
+    F: UniformHypergraph,
 ) -> tuple[Fraction, tuple[int, ...] | None]:
     """Maximum r-density of F together with a vertex subset attaining it.
 
@@ -167,10 +169,10 @@ def max_r_density_with_witness(
     and for a fixed vertex set the induced subgraph maximizes the edge
     count, so induced subgraphs suffice.
 
-    The subset scan is exponential in the support size; `max_support`
-    caps it with a clear error.  The witness is None for the two
-    degenerate cases, otherwise the first maximizing subset in scan
-    order (deterministic).
+    The subset scan is exponential in the support size; a support above
+    MAX_SUPPORT vertices is refused with a clear error.  The witness is
+    None for the two degenerate cases, otherwise the first maximizing
+    subset in scan order (deterministic).
     """
     r = F.k
     if F.num_edges == 0:
@@ -178,10 +180,10 @@ def max_r_density_with_witness(
     if F.num_edges == 1:
         return Fraction(1, r), None
     support = F.support
-    if len(support) > max_support:
+    if len(support) > MAX_SUPPORT:
         raise ValueError(
             f"support has {len(support)} vertices; subset scan capped at "
-            f"{max_support} (raise max_support to override)"
+            f"MAX_SUPPORT={MAX_SUPPORT}"
         )
     edge_masks = []
     index = {v: i for i, v in enumerate(support)}
@@ -205,9 +207,9 @@ def max_r_density_with_witness(
     return best, witness
 
 
-def max_r_density(F: UniformHypergraph, *, max_support: int = 18) -> Fraction:
+def max_r_density(F: UniformHypergraph) -> Fraction:
     """Maximum r-density m_r(F) as an exact fraction."""
-    return max_r_density_with_witness(F, max_support=max_support)[0]
+    return max_r_density_with_witness(F)[0]
 
 
 def clique_density(t: int, r: int) -> Fraction:

@@ -146,7 +146,7 @@ class TestArrowsDecision:
         "n, nodes", [(4, 5), (5, 21), (6, 260), (7, 22_647)]
     )
     def test_three_uniform_node_counts_pinned(self, n, nodes):
-        # recorded before the r = 2 and r >= 3 loops were merged
+        # node counts are reproducible: the r >= 3 search order is fixed
         res = arrows_decision(complete_hypergraph(n, 3), TargetList(3, (4, 4)))
         assert res.nodes_explored == nodes
 
@@ -300,7 +300,7 @@ class TestWitnessVerification:
     def test_bad_search_witness_raises(self, monkeypatch):
         # a search that colors every edge 1 would hand back a red triangle
         monkeypatch.setattr(
-            arrows, "_search_graph_bitsets",
+            arrows, "_search",
             lambda G, *_args: ([1] * G.num_edges, G.num_edges),
         )
         with pytest.raises(InternalContradictionError, match=r"\(1, 2, 3\) in color 1"):
@@ -308,7 +308,7 @@ class TestWitnessVerification:
 
     def test_bad_three_uniform_witness_raises(self, monkeypatch):
         monkeypatch.setattr(
-            arrows, "_search_clique_counters",
+            arrows, "_search",
             lambda G, *_args: ([2] * G.num_edges, G.num_edges),
         )
         with pytest.raises(InternalContradictionError, match="in color 2"):

@@ -227,7 +227,7 @@ class TestInternalContradictionExit:
         from ramseykit import arrows
 
         monkeypatch.setattr(
-            arrows, "_search_graph_bitsets",
+            arrows, "_search",
             lambda G, *_args: ([1] * G.num_edges, G.num_edges),
         )
         k4 = tmp_path / "k4.uhg"

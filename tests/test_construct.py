@@ -372,7 +372,6 @@ class TestEstimateCoverCount:
     def test_zero_probability(self):
         est = estimate_cover_count(50, 4, 2, 3, 0.0, 20, 3)
         assert est.mean == 0.0
-        assert est.target == (1, 2, 3)
 
     def test_dense_instance_finds_covers(self):
         # with p = 1 on a small instance, X_W is a positive constant

@@ -87,7 +87,9 @@ class TestEnumerateMinimalCovers:
             (1, t + 1),  # meets W in < r vertices
         ]
         cands = data.draw(st.lists(st.sampled_from(pool), max_size=12))
-        got = {fam.members for fam in enumerate_minimal_nontrivial_covers(W, cands, r)}
+        families = [fam.members for fam in enumerate_minimal_nontrivial_covers(W, cands, r)]
+        assert len(set(families)) == len(families)  # no family is repeated
+        got = set(families)
         want = {
             tuple(sorted(f)) for f in powerset_minimal_covers(W, cands, r)
             # oracle scans raw candidates; drop families using unusable members

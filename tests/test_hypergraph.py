@@ -116,9 +116,10 @@ class TestDensity:
         assert witness == (1, 2, 3, 4)
 
     def test_support_cap(self):
-        K = complete_hypergraph(12, 2)
-        with pytest.raises(ValueError):
-            max_r_density(K, max_support=10)
+        # refused before the 2^19-subset scan starts, so this is cheap
+        K = complete_hypergraph(19, 2)
+        with pytest.raises(ValueError, match="MAX_SUPPORT=18"):
+            max_r_density(K)
 
     def test_clique_density_values(self):
         assert clique_density(3, 2) == 2
