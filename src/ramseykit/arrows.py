@@ -80,10 +80,10 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .construct import InternalContradictionError
 from .hypergraph import (
     Edge,
     EdgeColoring,
+    InternalContradictionError,
     UniformHypergraph,
     complete_hypergraph,
     enumerate_cliques,
@@ -212,12 +212,12 @@ def _row_lex_pairs(G) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _row_lex_step(pairs, tied, assignment, color) -> int:
+def _row_lex_step(pairs, tied, colors, color) -> int:
     """The `tied` bits once the current edge takes `color`, or -1 when a
     pair still tied gets a larger entry in row i than in row i+1."""
     for bit, k in pairs:
         if tied & bit:
-            other = assignment[k]  # row i's entry; `color` is row i+1's
+            other = colors[k]  # row i's entry, already committed; `color` is row i+1's
             if other > color:
                 return -1
             if other < color:
@@ -244,9 +244,11 @@ def _grows_clique(a: list[int], mask: int, size: int) -> bool:
 
 
 def _search(G, targets, max_nodes, max_seconds, started, row_lex):
-    """The DFS over edge colors; (assignment, nodes), assignment None when
-    the tree is exhausted.  The per-color state is picked by r: adjacency
-    bitmasks when r = 2, counters over the target cliques when r >= 3."""
+    """The DFS over edge colors; (colors, nodes), colors None when the
+    tree is exhausted.  `tried[i]` is edge i's current color: committed
+    for i < j, the last one tried at j, 0 beyond.  The per-color state is
+    picked by r: adjacency bitmasks when r = 2, counters over the target
+    cliques when r >= 3."""
     edges = G.edges
     m = len(edges)
     ell = targets.num_colors
@@ -270,7 +272,6 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
                     through[eidx].append(cid)
             per_color.append((through, [0] * len(cliques), comb(t, G.k)))
 
-    assignment = [0] * m
     tried = [0] * m
     nodes = 0
     j = 0
@@ -283,16 +284,15 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
                 return None, nodes  # exhausted
             if graph:
                 u, v = edges[j]
-                a = adj[assignment[j] - 1]
+                a = adj[tried[j] - 1]
                 a[u] &= ~(1 << v)
                 a[v] &= ~(1 << u)
                 if row_lex:
                     tied = tied_before[j]
             else:
-                through, counts, _need = per_color[assignment[j] - 1]
+                through, counts, _need = per_color[tried[j] - 1]
                 for cid in through[j]:
                     counts[cid] -= 1
-            assignment[j] = 0
             continue
         tried[j] = color
         nodes += 1
@@ -324,7 +324,7 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
             # the row-lex hook sits in the r = 2 branch only: arrows_decision
             # never passes row_lex for r >= 3
             if row_lex:
-                after = _row_lex_step(row_pairs[j], tied, assignment, color)
+                after = _row_lex_step(row_pairs[j], tied, tried, color)
                 if after < 0:
                     continue  # rows out of lex order; try next color
                 tied_before[j] = tied
@@ -345,10 +345,9 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
                 for pos in range(completed + 1):
                     counts[lst[pos]] -= 1
                 continue  # completing a monochromatic clique; try next color
-        assignment[j] = color
         j += 1
         if j == m:
-            return list(assignment), nodes
+            return tried, nodes
 
 
 def _target_clique_edges(G, targets) -> dict[int, list[list[int]]]:
@@ -380,6 +379,7 @@ def arrows_decision(
     InternalContradictionError), or "arrows" once the full assignment
     tree is pruned away.  Exceeding the budget raises
     SearchBudgetExceeded; an undecided search never turns into a verdict.
+    A negative budget raises ValueError; 0 is a valid budget.
 
     With ``row_lex`` the r = 2 search skips colorings whose rows are out
     of lex order (module docstring); verdict and witness are unchanged,
@@ -393,18 +393,19 @@ def arrows_decision(
             f"row-lex symmetry breaking needs a complete host; this one has "
             f"{G.num_edges} of {comb(G.n, G.k)} edges"
         )
+    for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if budget is not None and budget < 0:
+            raise ValueError(f"{name} must be >= 0, got {budget}")
     started = time.perf_counter()
     if not G.edges:
-        assignment, nodes = [], 0
+        colors, nodes = [], 0
     else:
-        assignment, nodes = _search(
+        colors, nodes = _search(
             G, targets, max_nodes, max_seconds, started, row_lex and G.k == 2
         )
-    if assignment is None:
+    if colors is None:
         return ArrowResult("arrows", None, nodes)
-    witness = EdgeColoring(
-        G, targets.num_colors, {e: c for e, c in zip(G.edges, assignment)}
-    )
+    witness = EdgeColoring(G, targets.num_colors, dict(zip(G.edges, colors)))
     check = verify_good_coloring(G, witness, targets)
     if not check:
         raise InternalContradictionError(

@@ -27,7 +27,6 @@ from .arrows import (
     verify_good_coloring,
 )
 from .construct import (
-    InternalContradictionError,
     clean,
     lift_coloring,
     parse_probability,
@@ -36,7 +35,7 @@ from .construct import (
 )
 from .covers import expected_cover_bound
 from .fileio import read_hypergraph, write_coloring, write_hypergraph
-from .hypergraph import max_r_density_with_witness, clique_density
+from .hypergraph import InternalContradictionError, clique_density, max_r_density_with_witness
 
 __all__ = ["main", "entry"]
 
@@ -117,13 +116,14 @@ def _cmd_density(args) -> int:
 
 def _cmd_construct(args) -> int:
     p = parse_probability(args.p, args.n)
-    H = sample_hypergraph(args.n, args.s, float(p), args.seed)
+    H = sample_hypergraph(args.n, args.s, p, args.seed)
     report = clean(H, args.r, args.t)
     uhg_path = f"{args.out}.uhg"
     write_hypergraph(report.result, uhg_path)
-    payload = report.to_json_dict(result_file=uhg_path)
+    payload = report.to_json_dict()
     payload["p"] = str(p)
     payload["seed"] = args.seed
+    payload["result_file"] = uhg_path
     text = (
         f"sampled {report.input_edges} edges, deleted {len(report.deleted)} "
         f"({report.num_linearity_violations} overlap pairs, "
@@ -152,7 +152,7 @@ def _cmd_witness(args) -> int:
     base = base_coloring_search(s, targets, max_nodes=args.max_nodes,
                                 max_seconds=args.max_seconds)
     p = parse_probability(args.p, args.n)
-    H = sample_hypergraph(args.n, s, float(p), args.seed)
+    H = sample_hypergraph(args.n, s, p, args.seed)
     report = clean(H, args.r, t)
     lifted = lift_coloring(report.result, args.r, base)
     primal = lifted.host

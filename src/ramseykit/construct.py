@@ -29,7 +29,7 @@ import itertools
 import re
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb
 from statistics import fmean
@@ -40,6 +40,7 @@ from .covers import CoverFamily, enumerate_minimal_nontrivial_covers
 from .hypergraph import (
     Edge,
     EdgeColoring,
+    InternalContradictionError,
     UniformHypergraph,
     enumerate_cliques,
     primal_r_graph,
@@ -47,7 +48,6 @@ from .hypergraph import (
 
 __all__ = [
     "NotLinearError",
-    "InternalContradictionError",
     "CleanReport",
     "TrialRecord",
     "TrialStats",
@@ -87,17 +87,6 @@ class NotLinearError(ValueError):
         )
 
 
-class InternalContradictionError(RuntimeError):
-    """A result that provably holds failed its independent check.
-
-    Cleaning failed to produce a linear, conformal hypergraph (deleting
-    one edge per recorded configuration provably destroys every
-    violation), or the arrowing search returned a witness that is not a
-    good coloring.  Reaching this state means the implementation (not
-    the input) is wrong; it must be surfaced, never patched silently.
-    """
-
-
 def parse_probability(value: str | float | Fraction | int, n: int | None = None) -> Fraction:
     """Parse a probability given as a decimal, a rational ``a/b``, or a
     power ``n^x`` with rational x (evaluated at the supplied n).
@@ -108,9 +97,7 @@ def parse_probability(value: str | float | Fraction | int, n: int | None = None)
     exact expectation bounds evaluated downstream) stays a true upper
     bound.
     """
-    if isinstance(value, (Fraction, int)):
-        p = Fraction(value)
-    elif isinstance(value, float):
+    if isinstance(value, (Fraction, int, float)):
         p = Fraction(value)
     else:
         text = value.strip()
@@ -285,16 +272,15 @@ def is_r_linear(H: UniformHypergraph, r: int) -> bool:
     return not linearity_violations(H, r)
 
 
-def conformality_violations(
-    H: UniformHypergraph, r: int, t: int
-) -> list[tuple[tuple[int, ...], CoverFamily]]:
-    """All (W, cover) pairs witnessing failures of (r, t)-conformality.
+def conformality_violations(H: UniformHypergraph, r: int, t: int) -> list[CoverFamily]:
+    """All covers witnessing failures of (r, t)-conformality; each
+    family's `target` is the t-set W it covers.
 
     Candidate sets W are exactly the t-cliques of the primal r-graph: any
     W whose r-subsets are covered by edges spans such a clique.  For
     every candidate not contained in a single edge, each minimal
-    non-trivial r-cover of W by edges of H is reported.  Empty iff H is
-    (r, t)-conformal.
+    non-trivial r-cover of W by edges of H is reported, candidates in
+    lex order.  Empty iff H is (r, t)-conformal.
 
     A vertex -> incident-edges index, built once per call, keeps the work
     per candidate proportional to the edges at its vertices: an edge
@@ -306,7 +292,7 @@ def conformality_violations(
     if not (H.k >= t > r >= 2):
         raise ValueError(f"need s >= t > r >= 2, got s={H.k}, t={t}, r={r}")
     primal = primal_r_graph(H, r)
-    out: list[tuple[tuple[int, ...], CoverFamily]] = []
+    out: list[CoverFamily] = []
     edge_sets = [set(A) for A in H.edges]
     incident: dict[int, list[int]] = defaultdict(list)
     for i, A in enumerate(H.edges):
@@ -318,8 +304,7 @@ def conformality_violations(
             continue
         near = {i for v in W for i in incident[v]}
         relevant = [H.edges[i] for i in near if len(edge_sets[i] & wset) >= r]
-        for fam in enumerate_minimal_nontrivial_covers(W, relevant, r):
-            out.append((W, fam))
+        out.extend(enumerate_minimal_nontrivial_covers(W, relevant, r))
     return out
 
 
@@ -331,7 +316,8 @@ def is_conformal(H: UniformHypergraph, r: int, t: int) -> bool:
 class CleanReport:
     """Outcome of one cleaning pass.
 
-    The violating configurations are the ones found on the ORIGINAL
+    The violating configurations (overlap pairs, and cover families whose
+    `target` is the covered t-set) are the ones found on the ORIGINAL
     hypergraph; `deleted` is the union of one edge per configuration
     (the lex-smallest choice), and `result` is re-verified r-linear and
     (r, t)-conformal before the report is returned.
@@ -341,7 +327,7 @@ class CleanReport:
     t: int
     input_edges: int
     linearity_violations: tuple[tuple[Edge, Edge], ...]
-    cover_violations: tuple[tuple[tuple[int, ...], CoverFamily], ...]
+    cover_violations: tuple[CoverFamily, ...]
     deleted: tuple[Edge, ...]
     result: UniformHypergraph
 
@@ -359,7 +345,7 @@ class CleanReport:
             return Fraction(0)
         return Fraction(len(self.deleted), self.input_edges)
 
-    def to_json_dict(self, result_file: str | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "kind": "construct",
             "n": self.result.n,
@@ -373,13 +359,12 @@ class CleanReport:
                 [list(a), list(b)] for a, b in self.linearity_violations
             ],
             "cover_violations": [
-                {"target": list(w), "members": [list(m) for m in fam.members]}
-                for w, fam in self.cover_violations
+                {"target": list(fam.target), "members": [list(m) for m in fam.members]}
+                for fam in self.cover_violations
             ],
             "deleted": [list(e) for e in self.deleted],
             "result_edges": self.result.num_edges,
             "deleted_fraction": str(self.deleted_fraction),
-            "result_file": result_file,
         }
 
 
@@ -395,11 +380,7 @@ def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
     """
     lin = tuple(linearity_violations(H, r))
     cov = tuple(conformality_violations(H, r, t))
-    doomed: set[Edge] = set()
-    for a, b in lin:
-        doomed.add(min(a, b))
-    for _, fam in cov:
-        doomed.add(min(fam.members))
+    doomed = {min(a, b) for a, b in lin} | {min(fam.members) for fam in cov}
     result = UniformHypergraph._from_canonical(
         H.n, H.k, tuple(e for e in H.edges if e not in doomed)
     )
@@ -409,8 +390,8 @@ def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
             a, b = left[0]
             culprit = f"edges {a} and {b} share >= {r} vertices"
         else:
-            W, fam = conformality_violations(result, r, t)[0]
-            culprit = f"{W} is covered by {', '.join(map(str, fam.members))}"
+            fam = conformality_violations(result, r, t)[0]
+            culprit = f"{fam.target} is covered by {', '.join(map(str, fam.members))}"
         raise InternalContradictionError(
             f"cleaning left a violation: deleted {len(doomed)} of "
             f"{H.num_edges} edges for {len(lin)} overlap pairs and "
@@ -436,8 +417,9 @@ def lift_coloring(
 
     For each edge A of H0, the ascending enumeration of A defines the
     order isomorphism onto [1..s]; every r-subset of A inherits the base
-    color of its image.  r-linearity makes every primal edge lie in
-    exactly one H0-edge, so each edge is colored exactly once.
+    color of its image, read off by position in combination order.
+    r-linearity makes every primal edge lie in exactly one H0-edge, so
+    each edge is colored exactly once.
     """
     s = H0.k
     viol = linearity_violations(H0, r)
@@ -448,17 +430,19 @@ def lift_coloring(
             f"base coloring must color the complete {r}-graph on [1..{s}], "
             f"got n={base.host.n}, k={base.host.k}, edges={base.host.num_edges}"
         )
+    # the base host is complete on [1..s], so its lex-ordered edges are
+    # combinations(range(1, s + 1), r): the images of combinations(A, r)
+    colors = [base.assignment[B] for B in base.host.edges]
     assignment: dict[Edge, int] = {}
     for A in H0.edges:
-        position = {v: i + 1 for i, v in enumerate(A)}
-        for B in itertools.combinations(A, r):
-            image = tuple(position[v] for v in B)
-            assignment[B] = base.color_of(image)
+        assignment.update(zip(itertools.combinations(A, r), colors))
     return EdgeColoring(primal_r_graph(H0, r), base.num_colors, assignment)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's counts; its fields are the CSV columns, in order."""
+
     seed: int
     edges_sampled: int
     cover_violations: int
@@ -522,17 +506,7 @@ class TrialStats:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["seed", "e_H", "X", "Y", "deleted", "e_H0"])
-        for rec in self.records:
-            writer.writerow(
-                [
-                    rec.seed,
-                    rec.edges_sampled,
-                    rec.cover_violations,
-                    rec.linearity_violations,
-                    rec.deleted,
-                    rec.edges_clean,
-                ]
-            )
+        writer.writerows(astuple(rec) for rec in self.records)
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:

@@ -19,6 +19,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 __all__ = [
+    "InternalContradictionError",
     "UniformHypergraph",
     "EdgeColoring",
     "complete_hypergraph",
@@ -33,6 +34,17 @@ __all__ = [
 Edge = tuple[int, ...]
 
 MAX_SUPPORT = 18  # largest support the max-density subset scan accepts
+
+
+class InternalContradictionError(RuntimeError):
+    """A result that provably holds failed its independent check.
+
+    Cleaning failed to produce a linear, conformal hypergraph (deleting
+    one edge per recorded configuration provably destroys every
+    violation), or the arrowing search returned a witness that is not a
+    good coloring.  Reaching this state means the implementation (not
+    the input) is wrong; it must be surfaced, never patched silently.
+    """
 
 
 def _canonical_edge(edge: Iterable[int], k: int, n: int) -> Edge:
@@ -120,6 +132,8 @@ class EdgeColoring:
             e = tuple(sorted(edge))
             if e not in self.host.edge_set:
                 raise ValueError(f"{e} is colored but is not an edge of the host")
+            if e in canon:
+                raise ValueError(f"edge {e} is colored twice")
             c = int(color)
             if not 1 <= c <= self.num_colors:
                 raise ValueError(f"color {c} for edge {e} outside 1..{self.num_colors}")

@@ -114,6 +114,20 @@ class TestArrowsDecision:
             )
         assert err.value.nodes_explored == 11
 
+    @pytest.mark.parametrize("name, value", [("max_nodes", -5), ("max_seconds", -1.0)])
+    @pytest.mark.parametrize("G", [complete_hypergraph(6, 2), UniformHypergraph(5, 2, [])])
+    def test_negative_budget_rejected(self, name, value, G):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value}"):
+            arrows_decision(G, TargetList(2, (3, 3)), **{name: value})
+
+    def test_zero_budget_is_valid(self):
+        empty = UniformHypergraph(5, 2, [])
+        for budget in ({"max_nodes": 0}, {"max_seconds": 0}):
+            res = arrows_decision(empty, TargetList(2, (3, 3)), **budget)
+            assert res.verdict == "not_arrows"
+        with pytest.raises(SearchBudgetExceeded):
+            arrows_decision(complete_hypergraph(3, 2), TargetList(2, (3, 3)), max_nodes=0)
+
     def test_asymmetric_targets_use_color_order(self):
         # K_4 with targets (3, 5): coloring everything in color 2 is good
         res = arrows_decision(complete_hypergraph(4, 2), TargetList(2, (3, 5)))

@@ -259,6 +259,17 @@ class TestRamseyVerb:
         code, _, err = run(capsys, "ramsey", "--targets", "3,3", "--r", "2", "--nmax", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-nodes", "-5", "max_nodes must be >= 0, got -5"),
+        ("--max-seconds", "-1", "max_seconds must be >= 0, got -1.0"),
+    ])
+    def test_negative_budget_is_usage_error(self, capsys, flag, value, message):
+        code, _, err = run(
+            capsys, "ramsey", "--targets", "3,3", "--r", "2", "--nmax", "6", flag, value,
+        )
+        assert code == 64
+        assert message in err
+
 
 class TestExperimentVerb:
     def test_zero_probability_row(self, capsys, tmp_path, schema):

@@ -185,8 +185,8 @@ class TestConformalityViolations:
         H = UniformHypergraph(6, 3, [(1, 2, 4), (2, 3, 5), (1, 3, 6)])
         viols = conformality_violations(H, 2, 3)
         assert len(viols) == 1
-        W, fam = viols[0]
-        assert W == (1, 2, 3)
+        fam = viols[0]
+        assert fam.target == (1, 2, 3)
         assert fam.members == ((1, 2, 4), (1, 3, 6), (2, 3, 5))
 
     def test_disjoint_quadruples(self):
@@ -200,8 +200,8 @@ class TestConformalityViolations:
         pairs = [(r, t) for r in range(2, H.k) for t in range(r + 1, H.k + 1)]
         r, t = data.draw(st.sampled_from(pairs))
         got: dict = {}
-        for W, fam in conformality_violations(H, r, t):
-            got.setdefault(W, set()).add(frozenset(fam.members))
+        for fam in conformality_violations(H, r, t):
+            got.setdefault(fam.target, set()).add(frozenset(fam.members))
         assert got == naive_conformality(H.n, H.edges, r, t)
 
 
@@ -243,7 +243,7 @@ class TestClean:
         deleted = set(report.deleted)
         for a, b in report.linearity_violations:
             assert deleted & {a, b}
-        for _, fam in report.cover_violations:
+        for fam in report.cover_violations:
             assert deleted & set(fam.members)
         # independent certificate: every primal triangle of the survivor
         # lies inside one surviving edge (no cover machinery involved)
@@ -326,6 +326,32 @@ class TestLift:
         else:
             lifted = lift_coloring(H, 2, base)
             assert set(lifted.assignment) == set(primal_r_graph(H, 2).edges)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_three_uniform_lift_matches_order_isomorphism(self, data):
+        n = data.draw(st.integers(5, 12))
+        drawn = data.draw(st.lists(
+            st.sampled_from(list(itertools.combinations(range(1, n + 1), 5))),
+            max_size=8,
+        ))
+        edges = []  # greedily keep a 3-linear subfamily
+        for A in drawn:
+            if all(len(set(A) & set(B)) < 3 for B in edges):
+                edges.append(A)
+        H0 = UniformHypergraph(n, 5, edges)
+        base_host = complete_hypergraph(5, 3)
+        colors = data.draw(st.lists(
+            st.integers(1, 2), min_size=base_host.num_edges,
+            max_size=base_host.num_edges,
+        ))
+        base = EdgeColoring(base_host, 2, dict(zip(base_host.edges, colors)))
+        lifted = lift_coloring(H0, 3, base)
+        assert lifted.host == primal_r_graph(H0, 3)
+        for A in H0.edges:
+            phi = {v: i for i, v in enumerate(A, start=1)}  # A -> [1..5], order kept
+            for B in itertools.combinations(A, 3):
+                assert lifted.color_of(B) == base.color_of(phi[v] for v in B)
 
 
 class TestRunTrials:

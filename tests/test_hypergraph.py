@@ -243,6 +243,11 @@ class TestEdgeColoring:
         with pytest.raises(ValueError):
             EdgeColoring(host, 2, {(1, 2): 3})
 
+    def test_rejects_an_edge_colored_twice(self):
+        host = complete_hypergraph(3, 2)
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) is colored twice"):
+            EdgeColoring(host, 2, {(1, 2): 1, (2, 1): 2, (1, 3): 1, (2, 3): 1})
+
     def test_color_classes(self):
         c = _pentagon_coloring()
         assert c.color_class(1) == ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))
