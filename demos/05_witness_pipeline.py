@@ -28,7 +28,7 @@ targets = TargetList(r, (3, 3))
 p = parse_probability("n^-3.8", n)
 
 print(f"1. sample H(n={n}, s={s}) at p = n^-3.8 ~ {float(p):.2e}")
-H = sample_hypergraph(n, s, float(p), seed=7)
+H = sample_hypergraph(n, s, p, seed=7)
 print(f"   {H.num_edges} edges")
 
 print("2. clean: delete one edge per bad configuration")

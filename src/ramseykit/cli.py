@@ -33,7 +33,7 @@ from .construct import (
     run_trials,
     sample_hypergraph,
 )
-from .covers import expected_cover_bound
+from .covers import _check_srt, expected_cover_bound
 from .fileio import read_hypergraph, write_coloring, write_hypergraph
 from .hypergraph import InternalContradictionError, clique_density, max_r_density_with_witness
 
@@ -116,6 +116,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_construct(args) -> int:
     p = parse_probability(args.p, args.n)
+    _check_srt(args.s, args.r, args.t)
     H = sample_hypergraph(args.n, args.s, p, args.seed)
     report = clean(H, args.r, args.t)
     uhg_path = f"{args.out}.uhg"
@@ -135,6 +136,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    p = parse_probability(args.p, args.n)
     targets = TargetList(args.r, _parse_targets(args.targets))
     if args.s is not None:
         s = args.s
@@ -149,10 +151,11 @@ def _cmd_witness(args) -> int:
                 f"the default budget ({exc}); pass --s explicitly"
             ) from exc
     t = min(targets.sizes)
+    _check_srt(s, args.r, t)
+    # sample first: its input checks are cheap, the base search is not
+    H = sample_hypergraph(args.n, s, p, args.seed)
     base = base_coloring_search(s, targets, max_nodes=args.max_nodes,
                                 max_seconds=args.max_seconds)
-    p = parse_probability(args.p, args.n)
-    H = sample_hypergraph(args.n, s, p, args.seed)
     report = clean(H, args.r, t)
     lifted = lift_coloring(report.result, args.r, base)
     primal = lifted.host
@@ -244,6 +247,7 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_experiment(args) -> int:
     p = parse_probability(args.p, args.n)
+    _check_srt(args.s, args.r, args.t)
     stats = run_trials(args.n, args.s, args.r, args.t, p, args.trials, args.seed)
     payload = stats.to_json_dict()
     if args.lemma42:

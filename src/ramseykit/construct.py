@@ -36,7 +36,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .covers import CoverFamily, enumerate_minimal_nontrivial_covers
+from .covers import CoverFamily, _check_srt, enumerate_minimal_nontrivial_covers
 from .hypergraph import (
     Edge,
     EdgeColoring,
@@ -92,10 +92,10 @@ def parse_probability(value: str | float | Fraction | int, n: int | None = None)
     power ``n^x`` with rational x (evaluated at the supplied n).
 
     The result is an exact fraction.  For ``n^x`` with non-integer x the
-    value is generally irrational; it is replaced by a 60-significant-
-    digit decimal rounded UP, so every quantity that grows with p (the
-    exact expectation bounds evaluated downstream) stays a true upper
-    bound.
+    value is generally irrational; it is rounded UP to a multiple of
+    10^-60, so every quantity that grows with p (the exact expectation
+    bounds evaluated downstream) stays a true upper bound.  Such a power
+    below 10^-60 is refused, not rounded up to 10^-60.
     """
     if isinstance(value, (Fraction, int, float)):
         p = Fraction(value)
@@ -138,7 +138,7 @@ def _int_nth_root(x: int, b: int) -> int:
 
 def _rational_power_up(base: int, exponent: Fraction, digits: int = 60) -> Fraction:
     """base ** exponent as a fraction; exact for integer exponents, else
-    rounded up at `digits` significant decimal digits."""
+    rounded up to a multiple of 10^-digits."""
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
     a, b = exponent.numerator, exponent.denominator
@@ -148,6 +148,9 @@ def _rational_power_up(base: int, exponent: Fraction, digits: int = 60) -> Fract
     scale = 10 ** digits
     target = power.numerator * scale ** b // power.denominator
     root = _int_nth_root(target, b)
+    if root == 0:
+        raise ValueError(f"{base}^({exponent}) is below 10^-{digits}, the "
+                         "resolution of non-integer powers")
     return Fraction(root + 1, scale)
 
 
@@ -289,8 +292,7 @@ def conformality_violations(H: UniformHypergraph, r: int, t: int) -> list[CoverF
     deduplicates its candidates, so their order here does not matter and
     the output matches a scan over all of H's edges.
     """
-    if not (H.k >= t > r >= 2):
-        raise ValueError(f"need s >= t > r >= 2, got s={H.k}, t={t}, r={r}")
+    _check_srt(H.k, r, t)
     primal = primal_r_graph(H, r)
     out: list[CoverFamily] = []
     edge_sets = [set(A) for A in H.edges]
@@ -418,14 +420,13 @@ def lift_coloring(
     For each edge A of H0, the ascending enumeration of A defines the
     order isomorphism onto [1..s]; every r-subset of A inherits the base
     color of its image, read off by position in combination order.
-    r-linearity makes every primal edge lie in exactly one H0-edge, so
-    each edge is colored exactly once.
+    H0 is r-linear (no r-subset lies in two edges) exactly when the
+    assignment has e(H0) * C(s, r) keys; they are then the primal
+    r-graph's edges, each colored once.  Otherwise NotLinearError names
+    the lex-first overlapping pair.
     """
     s = H0.k
-    viol = linearity_violations(H0, r)
-    if viol:
-        raise NotLinearError(r, viol[0])
-    if base.host.n != s or base.host.k != r or base.host.num_edges != comb(s, r):
+    if r > s or base.host.n != s or base.host.k != r or base.host.num_edges != comb(s, r):
         raise ValueError(
             f"base coloring must color the complete {r}-graph on [1..{s}], "
             f"got n={base.host.n}, k={base.host.k}, edges={base.host.num_edges}"
@@ -436,7 +437,10 @@ def lift_coloring(
     assignment: dict[Edge, int] = {}
     for A in H0.edges:
         assignment.update(zip(itertools.combinations(A, r), colors))
-    return EdgeColoring(primal_r_graph(H0, r), base.num_colors, assignment)
+    if len(assignment) != H0.num_edges * len(colors):
+        raise NotLinearError(r, linearity_violations(H0, r)[0])
+    host = UniformHypergraph._from_canonical(H0.n, r, tuple(sorted(assignment)))
+    return EdgeColoring(host, base.num_colors, assignment)
 
 
 @dataclass(frozen=True)
@@ -601,8 +605,7 @@ def estimate_cover_count(
     those of its image, so E(X_W) is the same for every t-set W and
     W = [1..t] stands for all of them.
     """
-    if not (s >= t > r >= 2):
-        raise ValueError(f"need s >= t > r >= 2, got s={s}, t={t}, r={r}")
+    _check_srt(s, r, t)
     W = tuple(range(1, t + 1))
     wset = set(W)
     counts = []

@@ -49,6 +49,11 @@ def _canon_set(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted({int(v) for v in vertices}))
 
 
+def _check_srt(s: int, r: int, t: int) -> None:
+    if not (s >= t > r >= 2):
+        raise ValueError(f"need s >= t > r >= 2, got s={s}, t={t}, r={r}")
+
+
 @dataclass(frozen=True)
 class CoverFamily:
     """A target set W, a cover arity r, and a family of member sets.
@@ -294,8 +299,7 @@ def expected_cover_bound(
     useless, t or above collapses to the trivial cover, and more than s
     vertices cannot fit in one edge.
     """
-    if not (s >= t > r >= 2):
-        raise ValueError(f"need s >= t > r >= 2, got s={s}, t={t}, r={r}")
+    _check_srt(s, r, t)
     if n < s:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
     pfrac = Fraction(p)

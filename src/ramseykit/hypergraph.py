@@ -12,6 +12,7 @@ enters any density or cover computation.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -240,58 +241,44 @@ def clique_density(t: int, r: int) -> Fraction:
 def enumerate_cliques(G: UniformHypergraph, t: int) -> list[tuple[int, ...]]:
     """All t-vertex sets W such that every r-subset of W is an edge of G.
 
-    Results are ascending tuples in lexicographic order.  The scan is
-    restricted to vertices of nonzero degree (a clique vertex always lies
-    in an edge when t >= r) and prunes with vertex-pair co-occurrence:
-    any two clique vertices must share at least one edge.
-
-    Each support vertex v seeds the search with its larger co-occurring
-    vertices, sorted, which are exactly the later support vertices that
-    the pruning would keep; seeding this way costs O(deg v log deg v)
-    rather than a pass over the rest of the support, and visits v's
-    cliques in the same lexicographic order.
+    Results are ascending tuples in lexicographic order.  For t >= r the
+    first r vertices of a clique are an edge, and every later vertex is
+    larger and shares an edge with each of them, so each edge e of G
+    seeds the candidates that lie in above[u] for every u in e, where
+    above[u] holds the larger vertices sharing an edge with u.  A
+    candidate v joins when S + (v,) is an edge for every (r-1)-subset S
+    of the clique, and the candidates left narrow to above[v].  The first
+    r vertices fix a clique's seed, seeds run in lex order and each grows
+    by ascending candidates, so the output is in lex order.
     """
     r = G.k
     if t < r:
         raise ValueError(f"clique size t={t} below uniformity r={r}")
-    support = G.support
-    if len(support) < t:
-        return []
-    edge_set = G.edge_set
-    copair: dict[int, set[int]] = {v: set() for v in support}
+    above: dict[int, set[int]] = defaultdict(set)
     for e in G.edges:
-        for u, v in itertools.combinations(e, 2):
-            copair[u].add(v)
-            copair[v].add(u)
-
-    results: list[tuple[int, ...]] = []
-    partial: list[int] = []
-
-    def extend(cands: list[int]) -> None:
-        if len(partial) == t:
-            results.append(tuple(partial))
-            return
-        need = t - len(partial)
-        for i, v in enumerate(cands):
-            if len(cands) - i < need:
-                break
-            if len(partial) >= r - 1:
-                ok = all(
-                    sub + (v,) in edge_set
-                    for sub in itertools.combinations(partial, r - 1)
-                )
-                if not ok:
-                    continue
-            partial.append(v)
-            adj = copair[v]
-            extend([u for u in cands[i + 1 :] if u in adj])
-            partial.pop()
-
-    for v in support:
-        partial.append(v)
-        extend(sorted(u for u in copair[v] if u > v))
-        partial.pop()
+        for i in range(r - 1):
+            above[e[i]].update(e[i + 1 :])
+    results: list[Edge] = []
+    for e in G.edges:
+        cands = sorted(set.intersection(*(above[u] for u in e)))
+        _grow(e, cands, t, r, G.edge_set, above, results)
     return results
+
+
+def _grow(clique: Edge, cands: list[int], t: int, r: int, edge_set: frozenset[Edge],
+          above: Mapping[int, set[int]], out: list[Edge]) -> None:
+    # not a closure: a recursive closure is a reference cycle, which keeps
+    # `above` and `out` alive until the cyclic collector runs
+    if len(clique) == t:
+        out.append(clique)
+        return
+    for i, v in enumerate(cands):
+        if len(cands) - i < t - len(clique):
+            break
+        if all(S + (v,) in edge_set for S in itertools.combinations(clique, r - 1)):
+            adj = above[v]
+            _grow(clique + (v,), [u for u in cands[i + 1 :] if u in adj], t, r,
+                  edge_set, above, out)
 
 
 def count_mono_clique_copies(coloring: EdgeColoring, color: int, t: int) -> int:

@@ -77,6 +77,19 @@ class TestConstructVerb:
         assert read_hypergraph(f"{out_prefix}.uhg").num_edges == 0
         assert json.loads((tmp_path / "c.json").read_text()) == payload
 
+    def test_schema_requires_the_cli_fields(self, capsys, tmp_path, schema):
+        code, out, _ = run(
+            capsys, "construct", "--n", "50", "--s", "4", "--r", "2", "--t", "3",
+            "--p", "0", "--seed", "3", "--out", str(tmp_path / "c"), "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        with pytest.raises(jsonschema.ValidationError):
+            validate(dict(payload, result_file=None), schema)
+        for key in ("p", "seed", "result_file"):
+            with pytest.raises(jsonschema.ValidationError):
+                validate({k: v for k, v in payload.items() if k != key}, schema)
+
     def test_usage_error_on_bad_t(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "construct", "--n", "50", "--s", "4", "--r", "3", "--t", "2",
@@ -145,6 +158,38 @@ class TestWitnessVerb:
         payload = json.loads(out)
         validate(payload, schema)
         assert payload["primal_edges"] == 0
+
+
+class TestCheapChecksFirst:
+    """Input errors exit 64 before the sampler or the base search runs."""
+
+    WITNESS = ["witness", "--n", "100", "--s", "13", "--r", "2", "--targets", "3,5"]
+
+    @pytest.mark.parametrize("argv, allowed", [
+        (WITNESS + ["--p", "2", "--seed", "0"], ()),
+        (WITNESS + ["--p", "n^-4", "--seed", "-1"], ("sample_hypergraph",)),
+        (["witness", "--n", "100", "--s", "3", "--r", "2", "--targets", "4,4",
+          "--p", "n^-4", "--seed", "0"], ()),
+        (["construct", "--n", "50", "--s", "4", "--r", "3", "--t", "2",
+          "--p", "0.1", "--seed", "3"], ()),
+        (["experiment", "--n", "50", "--s", "4", "--r", "3", "--t", "2",
+          "--p", "0.1", "--trials", "1", "--seed", "3"], ()),
+    ], ids=["witness_bad_p", "witness_bad_seed", "witness_t_above_s", "construct_bad_t",
+            "experiment_bad_t"])
+    def test_usage_error_before_expensive_work(self, capsys, tmp_path, monkeypatch,
+                                               argv, allowed):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("expensive work ran before the input checks")
+
+        for target in ("ramseykit.cli.base_coloring_search", "ramseykit.cli.sample_hypergraph",
+                       "ramseykit.construct.sample_hypergraph"):
+            if target.rsplit(".", 1)[1] not in allowed:
+                monkeypatch.setattr(target, refuse)
+        if argv[0] != "experiment":
+            argv = argv + ["--out", str(tmp_path / "x")]
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert err.startswith("error:")
 
 
 class TestArrowVerb:

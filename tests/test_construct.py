@@ -51,6 +51,8 @@ class TestParseProbability:
 
     def test_integer_power(self):
         assert parse_probability("n^-4", 2000) == Fraction(1, 2000**4)
+        # exact even far below the 10^-60 resolution of non-integer powers
+        assert parse_probability("n^-35", 100) == Fraction(1, 100**35)
 
     def test_fractional_power_rounds_up(self):
         p = parse_probability("n^-2.75", 200)
@@ -60,6 +62,16 @@ class TestParseProbability:
 
     def test_parenthesized_rational_exponent(self):
         assert parse_probability("n^(-11/4)", 200) == parse_probability("n^-2.75", 200)
+
+    def test_fractional_power_is_a_multiple_of_the_resolution(self):
+        # 100^-29.5 = 10^-59 exactly; the result is the next multiple of
+        # 10^-60 above it, not a 60-significant-digit value
+        assert parse_probability("n^-29.5", 100) == Fraction(11, 10**60)
+
+    def test_fractional_power_below_resolution_rejected(self):
+        # 100^-31.5 = 10^-63 would round up to 10^-60 = 100^-30
+        with pytest.raises(ValueError, match=r"100\^\(-63/2\) is below 10\^-60"):
+            parse_probability("n^-31.5", 100)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -313,6 +325,12 @@ class TestLift:
         base = EdgeColoring(small, 1, {e: 1 for e in small.edges})
         with pytest.raises(ValueError):
             lift_coloring(H0, 2, base)
+        # r > s: the complete 3-graph on [1..2] is edgeless, so only the
+        # r > s check refuses it
+        H0 = UniformHypergraph(4, 2, [(1, 2), (3, 4)])
+        empty = complete_hypergraph(2, 3)
+        with pytest.raises(ValueError, match="complete 3-graph"):
+            lift_coloring(H0, 3, EdgeColoring(empty, 1, {}))
 
     @given(H=hypergraphs(min_k=3, max_k=3, max_n=9))
     @settings(max_examples=40)

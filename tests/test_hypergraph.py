@@ -182,11 +182,17 @@ class TestCliques:
         G = UniformHypergraph(5, 3, [(1, 2, 3), (2, 3, 4)])
         assert enumerate_cliques(G, 3) == [(1, 2, 3), (2, 3, 4)]
 
+    def test_candidate_sharing_edges_with_each_seed_vertex_is_not_enough(self):
+        # 4 shares an edge with each of 1, 2 and 3, so the seed (1, 2, 3)
+        # offers it, but (1, 2, 4) is not an edge
+        G = UniformHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 6)])
+        assert enumerate_cliques(G, 4) == []
+
     def test_t_below_r_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cliques(complete_hypergraph(4, 3), 2)
 
-    @given(hypergraphs(max_n=10), st.data())
+    @given(hypergraphs(max_k=4, max_n=10), st.data())
     @settings(max_examples=60)
     def test_matches_naive_scan(self, G, data):
         t = data.draw(st.integers(G.k, min(G.n, G.k + 3)))
