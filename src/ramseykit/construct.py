@@ -28,7 +28,6 @@ import io
 import itertools
 import re
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb
@@ -253,21 +252,34 @@ def sample_hypergraph(n: int, s: int, p: float | Fraction, seed: int) -> Uniform
     return UniformHypergraph._from_canonical(n, s, edges)
 
 
+def _r_subset_holders(
+    H: UniformHypergraph, r: int
+) -> tuple[dict[Edge, Edge], dict[Edge, list[Edge]]]:
+    """owner[B] is the lex-first edge of H containing the r-subset B;
+    others[B], present only for B in two or more edges, lists the later
+    ones in lex order.  The keys of owner are the primal r-graph's edges."""
+    owner: dict[Edge, Edge] = {}
+    others: dict[Edge, list[Edge]] = {}
+    for A in H.edges:  # lex order
+        for B in itertools.combinations(A, r):
+            if owner.setdefault(B, A) is not A:
+                others.setdefault(B, []).append(A)
+    return owner, others
+
+
 def linearity_violations(H: UniformHypergraph, r: int) -> list[tuple[Edge, Edge]]:
     """All unordered edge pairs sharing >= r vertices, lex ascending.
 
-    Pairs are found by bucketing edges on their r-subsets, so sparse
-    inputs avoid a quadratic scan.  Empty iff H is r-linear.
+    Two edges share >= r vertices iff some r-subset lies in both, so the
+    pairs are those among the holders of each r-subset held twice or
+    more; sparse inputs avoid a quadratic scan.  Empty iff H is r-linear.
     """
     if not 2 <= r <= H.k:
         raise ValueError(f"need 2 <= r <= {H.k}, got r={r}")
-    buckets: dict[Edge, list[Edge]] = defaultdict(list)
+    owner, others = _r_subset_holders(H, r)
     pairs: set[tuple[Edge, Edge]] = set()
-    for A in H.edges:  # lex order, so earlier bucket entries are lex-smaller
-        for B in itertools.combinations(A, r):
-            for prev in buckets[B]:
-                pairs.add((prev, A))
-            buckets[B].append(A)
+    for B, later in others.items():
+        pairs.update(itertools.combinations([owner[B], *later], 2))
     return sorted(pairs)
 
 
@@ -285,27 +297,28 @@ def conformality_violations(H: UniformHypergraph, r: int, t: int) -> list[CoverF
     non-trivial r-cover of W by edges of H is reported, candidates in
     lex order.  Empty iff H is (r, t)-conformal.
 
-    A vertex -> incident-edges index, built once per call, keeps the work
-    per candidate proportional to the edges at its vertices: an edge
-    containing W contains W[0], and an edge meeting W in r >= 2 vertices
-    is incident to one of them.  The cover enumeration sorts and
+    One r-subset index, built once per call, answers both questions a
+    candidate W asks: `owner[B]`, the lex-first edge holding the r-subset
+    B, and `others[B]`, the later holders of each B held twice or more.
+    An edge containing W contains W[:r], so W lies in a single edge iff
+    it lies in one of the holders of W[:r].  An edge meets W in >= r
+    vertices iff it holds some r-subset of W, so the relevant edges are
+    the holders of W's r-subsets.  The cover enumeration sorts and
     deduplicates its candidates, so their order here does not matter and
     the output matches a scan over all of H's edges.
     """
     _check_srt(H.k, r, t)
-    primal = primal_r_graph(H, r)
+    owner, others = _r_subset_holders(H, r)
     out: list[CoverFamily] = []
-    edge_sets = [set(A) for A in H.edges]
-    incident: dict[int, list[int]] = defaultdict(list)
-    for i, A in enumerate(H.edges):
-        for v in A:
-            incident[v].append(i)
-    for W in enumerate_cliques(primal, t):
+    for W in enumerate_cliques(primal_r_graph(H, r), t):
         wset = set(W)
-        if any(wset <= edge_sets[i] for i in incident[W[0]]):
+        head = W[:r]
+        if wset.issubset(owner[head]) or any(map(wset.issubset, others.get(head, ()))):
             continue
-        near = {i for v in W for i in incident[v]}
-        relevant = [H.edges[i] for i in near if len(edge_sets[i] & wset) >= r]
+        relevant = set()
+        for B in itertools.combinations(W, r):
+            relevant.add(owner[B])
+            relevant.update(others.get(B, ()))
         out.extend(enumerate_minimal_nontrivial_covers(W, relevant, r))
     return out
 

@@ -78,6 +78,17 @@ class CoverFamily:
                 )
         object.__setattr__(self, "members", tuple(canon))
 
+    @classmethod
+    def _from_canonical(cls, target: VertexSet, r: int, members: tuple[VertexSet, ...]) -> "CoverFamily":
+        # Internal fast path: caller guarantees r >= 2, a sorted distinct
+        # target, and members that are sorted, distinct, each a sorted
+        # tuple of at least r distinct ints.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "r", r)
+        object.__setattr__(obj, "members", members)
+        return obj
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -115,67 +126,70 @@ def enumerate_minimal_nontrivial_covers(
     candidates containing all of W (any family containing one is
     reducible to the trivial cover, hence non-minimal).
 
-    The search branches on the lexicographically last uncovered
-    r-subset and only adds candidates covering it; options already
-    branched on at a node are excluded below it, so every family is
-    produced exactly once.  A final remove-one check enforces
-    minimality.  Output is deterministic: members sorted within each
-    family, families sorted.
+    Everything after canonicalization runs on integer masks.  Vertex i
+    of W (ascending) is bit i, and the r-subsets of W, in combination
+    order, are bits too: a candidate's r-subset mask holds the r-subsets
+    whose vertex masks lie inside its own, so it is empty exactly when
+    the candidate meets W in fewer than r vertices.  The module-level
+    `_search` branches on the last uncovered r-subset and only adds
+    candidates covering it; options already branched on at a node are
+    excluded below it, so every family is produced exactly once.  A
+    covering family is minimal iff each member covers an r-subset no
+    other member covers, so one pass over its masks decides it.  Output is deterministic: members sorted within
+    each family, families sorted.
     """
     target = _canon_set(W)
     if len(target) < r:
         raise ValueError(f"target has {len(target)} vertices, need at least r={r}")
-    target_set = set(target)
-    cands = sorted({_canon_set(c) for c in candidates})
+    bit = {v: 1 << i for i, v in enumerate(target)}
+    whole = (1 << len(target)) - 1
+    subsets = [sum(c) for c in itertools.combinations(bit.values(), r)]
+    covering = [0] * len(subsets)  # per r-subset: mask of kept candidates over it
     kept: list[VertexSet] = []
     masks: list[int] = []
-    rsubs = list(itertools.combinations(target, r))
-    sub_index = {B: i for i, B in enumerate(rsubs)}
-    covering = [0] * len(rsubs)  # per r-subset: bitmask of kept candidates over it
-    for cand in cands:
-        cset = set(cand)
-        inter = cset & target_set
-        if len(inter) < r or target_set <= cset:
+    for cand in sorted({_canon_set(c) for c in candidates}):
+        vmask = 0
+        for v in cand:
+            vmask |= bit.get(v, 0)
+        if vmask == whole:
             continue
         mask = 0
-        for B in itertools.combinations(sorted(inter), r):
-            bit = sub_index[B]
-            mask |= 1 << bit
-            covering[bit] |= 1 << len(kept)
-        kept.append(cand)
-        masks.append(mask)
-    full = (1 << len(rsubs)) - 1
+        for j, sub in enumerate(subsets):
+            if vmask & sub == sub:
+                mask |= 1 << j
+                covering[j] |= 1 << len(kept)
+        if mask:
+            kept.append(cand)
+            masks.append(mask)
+    found: list[list[int]] = []
+    _search(masks, covering, (1 << len(subsets)) - 1, 0, 0, (1 << len(kept)) - 1, found)
+    return [
+        CoverFamily._from_canonical(target, r, tuple(kept[i] for i in family))
+        for family in sorted(found)
+    ]
 
-    found: list[tuple[VertexSet, ...]] = []
 
-    def minimal(chosen: list[int]) -> bool:
-        for skip in range(len(chosen)):
-            rest = 0
-            for j, idx in enumerate(chosen):
-                if j != skip:
-                    rest |= masks[idx]
-            if rest == full:
-                return False
-        return True
-
-    def search(chosen: list[int], covered: int, allowed: int) -> None:
-        if covered == full:
-            if len(chosen) >= 2 and minimal(chosen):
-                found.append(tuple(kept[i] for i in sorted(chosen)))
-            return
-        # options: allowed candidates covering the last uncovered r-subset
-        options = allowed & covering[(~covered & full).bit_length() - 1]
-        while options:
-            low = options & -options
-            options ^= low
-            allowed ^= low  # excluded below this node once branched on
-            idx = low.bit_length() - 1
-            chosen.append(idx)
-            search(chosen, covered | masks[idx], allowed)
-            chosen.pop()
-
-    search([], 0, (1 << len(kept)) - 1)
-    return [CoverFamily(target, r, members) for members in sorted(found)]
+def _search(masks: list[int], covering: list[int], full: int, chosen: int,
+            covered: int, allowed: int, found: list[list[int]]) -> None:
+    # not a closure: a recursive closure is a reference cycle, which keeps
+    # its whole frame alive until the cyclic collector runs
+    if covered == full:
+        family = [i for i in range(chosen.bit_length()) if chosen >> i & 1]
+        once = twice = 0
+        for i in family:
+            twice |= once & masks[i]
+            once |= masks[i]
+        if len(family) >= 2 and all(masks[i] & ~twice for i in family):
+            found.append(family)
+        return
+    # options: allowed candidates covering the last uncovered r-subset
+    options = allowed & covering[(full & ~covered).bit_length() - 1]
+    while options:
+        low = options & -options
+        options ^= low
+        allowed ^= low  # excluded below this node once branched on
+        _search(masks, covering, full, chosen | low, covered | masks[low.bit_length() - 1],
+                allowed, found)
 
 
 def phi(family: CoverFamily, t: int) -> Fraction:

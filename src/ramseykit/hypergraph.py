@@ -247,9 +247,11 @@ def enumerate_cliques(G: UniformHypergraph, t: int) -> list[tuple[int, ...]]:
     seeds the candidates that lie in above[u] for every u in e, where
     above[u] holds the larger vertices sharing an edge with u.  A
     candidate v joins when S + (v,) is an edge for every (r-1)-subset S
-    of the clique, and the candidates left narrow to above[v].  The first
-    r vertices fix a clique's seed, seeds run in lex order and each grows
-    by ascending candidates, so the output is in lex order.
+    of the clique, and the candidates left narrow to above[v].  For r = 2
+    that test is skipped: a candidate lies in above[u] for every clique
+    vertex u, and for r = 2 sharing an edge with u means (u, v) is one.
+    The first r vertices fix a clique's seed, seeds run in lex order and
+    each grows by ascending candidates, so the output is in lex order.
     """
     r = G.k
     if t < r:
@@ -275,7 +277,7 @@ def _grow(clique: Edge, cands: list[int], t: int, r: int, edge_set: frozenset[Ed
     for i, v in enumerate(cands):
         if len(cands) - i < t - len(clique):
             break
-        if all(S + (v,) in edge_set for S in itertools.combinations(clique, r - 1)):
+        if r == 2 or all(S + (v,) in edge_set for S in itertools.combinations(clique, r - 1)):
             adj = above[v]
             _grow(clique + (v,), [u for u in cands[i + 1 :] if u in adj], t, r,
                   edge_set, above, out)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -206,15 +207,23 @@ class TestConformalityViolations:
         assert conformality_violations(H, 2, 3) == []
         assert is_conformal(H, 2, 3)
 
+    def test_later_holder_of_the_leading_pair(self):
+        # W = (1, 2, 4) lies only in (1, 2, 4, 5), the second edge holding
+        # (1, 2); the first, (1, 2, 3, 6), does not contain it
+        H = UniformHypergraph(10, 4, [(1, 2, 3, 6), (1, 2, 4, 5), (1, 4, 7, 8), (2, 4, 9, 10)])
+        assert conformality_violations(H, 2, 3) == []
+        assert naive_conformality(H.n, H.edges, 2, 3) == {}
+
     @given(H=hypergraphs(max_n=9), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_naive_scan(self, H, data):
         pairs = [(r, t) for r in range(2, H.k) for t in range(r + 1, H.k + 1)]
         r, t = data.draw(st.sampled_from(pairs))
-        got: dict = {}
-        for fam in conformality_violations(H, r, t):
-            got.setdefault(fam.target, set()).add(frozenset(fam.members))
-        assert got == naive_conformality(H.n, H.edges, r, t)
+        # targets in lex order, then each target's families sorted
+        naive = naive_conformality(H.n, H.edges, r, t)
+        want = [(W, fam) for W in sorted(naive) for fam in sorted(tuple(sorted(f)) for f in naive[W])]
+        got = [(fam.target, fam.members) for fam in conformality_violations(H, r, t)]
+        assert got == want
 
 
 class TestClean:
@@ -278,6 +287,27 @@ class TestClean:
             "(15, 20, 29) is covered by (13, 15, 17, 29), (15, 20, 26, 30), "
             "(16, 20, 24, 29)"
         )
+
+    def test_scan_reaches_the_timed_layers(self, monkeypatch):
+        """perfbench/launch.py times these calls by their public names in
+        `construct`; its per-layer metrics need each to run, called
+        directly from conformality_violations, when clean meets a cross
+        triangle."""
+        callers: dict[str, list[str]] = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                callers.setdefault(name, []).append(sys._getframe(1).f_code.co_name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("primal_r_graph", "enumerate_cliques", "enumerate_minimal_nontrivial_covers")
+        for name in names:
+            monkeypatch.setattr(construct, name, counted(name, getattr(construct, name)))
+        clean(UniformHypergraph(6, 3, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]), 2, 3)
+        assert {name: set(callers.get(name, ())) for name in names} == {
+            name: {"conformality_violations"} for name in names
+        }
 
 
 class TestLift:

@@ -87,7 +87,12 @@ class TestEnumerateMinimalCovers:
             (1, t + 1),  # meets W in < r vertices
         ]
         cands = data.draw(st.lists(st.sampled_from(pool), max_size=12))
-        families = [fam.members for fam in enumerate_minimal_nontrivial_covers(W, cands, r)]
+        # the input is canonicalized: reversed target and members give the same result
+        fams = enumerate_minimal_nontrivial_covers(W[::-1], [c[::-1] for c in cands], r)
+        for fam in fams:  # the trusted constructor built what the public one would
+            assert fam == CoverFamily(fam.target, fam.r, fam.members)
+        families = [fam.members for fam in fams]
+        assert families == sorted(families)
         assert len(set(families)) == len(families)  # no family is repeated
         got = set(families)
         want = {
