@@ -38,9 +38,10 @@ print(f"mean deleted        {stats.mean_deleted:9.3f}"
       f"   (fraction {stats.mean_deleted_fraction:.4f})")
 print(f"violations per edge {stats.violation_edge_ratio:9.5f}")
 
-print("\nfirst CSV rows:")
-for line in stats.to_csv().splitlines()[:4]:
-    print(" ", line)
+print("\nfirst trials (seed, e_H, X, Y, deleted, e_H0):")
+for rec in stats.records[:3]:
+    print(" ", rec.seed, rec.edges_sampled, rec.cover_violations,
+          rec.linearity_violations, rec.deleted, rec.edges_clean)
 
 print("\n== exact expectation bound for covers of a fixed 3-set ==")
 bound = expected_cover_bound(n, s, r, t, p)

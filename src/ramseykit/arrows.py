@@ -226,10 +226,8 @@ def _row_lex_step(pairs, tied, colors, color) -> int:
 
 
 def _grows_clique(a: list[int], mask: int, size: int) -> bool:
-    """Is there a `size`-clique of the color with adjacency masks `a`
-    inside the vertex mask `mask`?"""
-    if size == 0:
-        return True
+    """Is there a `size`-clique (size >= 1) of the color with adjacency
+    masks `a` inside the vertex mask `mask`?"""
     if size == 1:
         return mask != 0
     while mask:

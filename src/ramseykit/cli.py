@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 
 from .arrows import (
     NoGoodColoringError,
@@ -121,10 +122,29 @@ def _cmd_construct(args) -> int:
     report = clean(H, args.r, args.t)
     uhg_path = f"{args.out}.uhg"
     write_hypergraph(report.result, uhg_path)
-    payload = report.to_json_dict()
-    payload["p"] = str(p)
-    payload["seed"] = args.seed
-    payload["result_file"] = uhg_path
+    payload = {
+        "kind": "construct",
+        "n": report.result.n,
+        "s": report.result.k,
+        "r": report.r,
+        "t": report.t,
+        "p": str(p),
+        "seed": args.seed,
+        "input_edges": report.input_edges,
+        "num_linearity_violations": report.num_linearity_violations,
+        "num_cover_violations": report.num_cover_violations,
+        "linearity_violations": [
+            [list(a), list(b)] for a, b in report.linearity_violations
+        ],
+        "cover_violations": [
+            {"target": list(fam.target), "members": [list(m) for m in fam.members]}
+            for fam in report.cover_violations
+        ],
+        "deleted": [list(e) for e in report.deleted],
+        "result_edges": report.result.num_edges,
+        "deleted_fraction": str(report.deleted_fraction),
+        "result_file": uhg_path,
+    }
     text = (
         f"sampled {report.input_edges} edges, deleted {len(report.deleted)} "
         f"({report.num_linearity_violations} overlap pairs, "
@@ -249,14 +269,39 @@ def _cmd_experiment(args) -> int:
     p = parse_probability(args.p, args.n)
     _check_srt(args.s, args.r, args.t)
     stats = run_trials(args.n, args.s, args.r, args.t, p, args.trials, args.seed)
-    payload = stats.to_json_dict()
+    payload = {
+        "kind": "experiment",
+        "n": stats.n,
+        "s": stats.s,
+        "r": stats.r,
+        "t": stats.t,
+        "p": str(stats.p),
+        "trials": stats.trials,
+        "master_seed": stats.master_seed,
+        "mean_edges": stats.mean_edges,
+        "mean_cover_violations": stats.mean_cover_violations,
+        "mean_linearity_violations": stats.mean_linearity_violations,
+        "mean_deleted": stats.mean_deleted,
+        "mean_deleted_fraction": stats.mean_deleted_fraction,
+        "violation_edge_ratio": stats.violation_edge_ratio,
+    }
     if args.lemma42:
         bound = expected_cover_bound(args.n, args.s, args.r, args.t, p)
-        sub = bound.to_json_dict()
-        del sub["kind"]
-        payload["cover_bound"] = sub
+        payload["cover_bound"] = {
+            "n": bound.n,
+            "s": bound.s,
+            "r": bound.r,
+            "t": bound.t,
+            "p": str(bound.p),
+            "trace_count": bound.trace_count,
+            "bound": str(bound.total),
+            "reference": str(bound.reference),
+            "ratio": str(bound.ratio),
+        }
     if args.csv is not None:
-        _write_text(args.csv, stats.to_csv())
+        # every column is an integer, so no field needs CSV quoting
+        rows = [("seed", "e_H", "X", "Y", "deleted", "e_H0"), *map(astuple, stats.records)]
+        _write_text(args.csv, "".join(",".join(map(str, row)) + "\n" for row in rows))
     text = (
         f"{stats.trials} trials: mean edges {stats.mean_edges:.3f}, "
         f"mean deleted {stats.mean_deleted:.3f}, "

@@ -22,13 +22,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from statistics import fmean
@@ -360,28 +358,6 @@ class CleanReport:
             return Fraction(0)
         return Fraction(len(self.deleted), self.input_edges)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "construct",
-            "n": self.result.n,
-            "s": self.result.k,
-            "r": self.r,
-            "t": self.t,
-            "input_edges": self.input_edges,
-            "num_linearity_violations": self.num_linearity_violations,
-            "num_cover_violations": self.num_cover_violations,
-            "linearity_violations": [
-                [list(a), list(b)] for a, b in self.linearity_violations
-            ],
-            "cover_violations": [
-                {"target": list(fam.target), "members": [list(m) for m in fam.members]}
-                for fam in self.cover_violations
-            ],
-            "deleted": [list(e) for e in self.deleted],
-            "result_edges": self.result.num_edges,
-            "deleted_fraction": str(self.deleted_fraction),
-        }
-
 
 def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
     """Delete one edge per bad configuration of H and re-verify.
@@ -458,7 +434,9 @@ def lift_coloring(
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's counts; its fields are the CSV columns, in order."""
+    """One trial's counts; its fields, in order, are the `experiment
+    --csv` columns seed, e_H, X, Y, deleted, e_H0, with X the
+    cover-violation count and Y the overlap-pair count."""
 
     seed: int
     edges_sampled: int
@@ -472,9 +450,7 @@ class TrialRecord:
 class TrialStats:
     """Aggregated outcomes of repeated sample-and-clean trials.
 
-    Every aggregate is recomputable from `records`; the CSV column order
-    is fixed (seed, e_H, X, Y, deleted, e_H0) with X the cover-violation
-    count and Y the overlap-pair count.
+    Every aggregate is recomputable from `records`.
     """
 
     n: int
@@ -518,31 +494,6 @@ class TrialStats:
         if self.mean_edges == 0:
             return 0.0
         return (self.mean_cover_violations + self.mean_linearity_violations) / self.mean_edges
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["seed", "e_H", "X", "Y", "deleted", "e_H0"])
-        writer.writerows(astuple(rec) for rec in self.records)
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "experiment",
-            "n": self.n,
-            "s": self.s,
-            "r": self.r,
-            "t": self.t,
-            "p": str(self.p),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "mean_edges": self.mean_edges,
-            "mean_cover_violations": self.mean_cover_violations,
-            "mean_linearity_violations": self.mean_linearity_violations,
-            "mean_deleted": self.mean_deleted,
-            "mean_deleted_fraction": self.mean_deleted_fraction,
-            "violation_edge_ratio": self.violation_edge_ratio,
-        }
 
 
 def _trial_hypergraphs(
@@ -624,10 +575,7 @@ def estimate_cover_count(
     counts = []
     for _, H in _trial_hypergraphs(n, s, p, trials, master_seed):
         relevant = [A for A in H.edges if len(wset.intersection(A)) >= r]
-        if len(relevant) >= 2:
-            counts.append(len(enumerate_minimal_nontrivial_covers(W, relevant, r)))
-        else:
-            counts.append(0)
+        counts.append(len(enumerate_minimal_nontrivial_covers(W, relevant, r)))
     mean = fmean(counts)
     if trials > 1:
         var = sum((c - mean) ** 2 for c in counts) / (trials - 1)

@@ -135,8 +135,8 @@ def enumerate_minimal_nontrivial_covers(
     candidates covering it; options already branched on at a node are
     excluded below it, so every family is produced exactly once.  A
     covering family is minimal iff each member covers an r-subset no
-    other member covers, so one pass over its masks decides it.  Output is deterministic: members sorted within
-    each family, families sorted.
+    other member covers, so one pass over its masks decides it.  Output
+    is deterministic: members sorted within each family, families sorted.
     """
     target = _canon_set(W)
     if len(target) < r:
@@ -284,20 +284,6 @@ class CoverBoundReport:
         if self.reference == 0:
             return Fraction(0)
         return self.total / self.reference
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "cover_bound",
-            "n": self.n,
-            "s": self.s,
-            "r": self.r,
-            "t": self.t,
-            "p": str(self.p),
-            "trace_count": self.trace_count,
-            "bound": str(self.total),
-            "reference": str(self.reference),
-            "ratio": str(self.ratio),
-        }
 
 
 def expected_cover_bound(

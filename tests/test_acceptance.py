@@ -233,8 +233,7 @@ def test_a8_determinism(tmp_path):
     p = parse_probability("n^-4", n)
     first = run_trials(n, s, r, t, float(p), 20, MASTER_SEED)
     second = run_trials(n, s, r, t, float(p), 20, MASTER_SEED)
-    assert first.to_csv() == second.to_csv()
-    assert first.to_json_dict() == second.to_json_dict()
+    assert first == second
 
     argv = [
         "construct", "--n", "2000", "--s", "5", "--r", "2", "--t", "3",

@@ -236,12 +236,3 @@ class TestExpectedCoverBound:
             expected_cover_bound(10, 3, 2, 4, Fraction(1, 2))
         with pytest.raises(ValueError):
             expected_cover_bound(10, 4, 2, 3, 2)
-
-    def test_json_fields(self):
-        report = expected_cover_bound(10, 4, 2, 3, Fraction(1, 7))
-        payload = report.to_json_dict()
-        assert payload["kind"] == "cover_bound"
-        assert set(payload) == {
-            "kind", "n", "s", "r", "t", "p",
-            "trace_count", "bound", "reference", "ratio",
-        }

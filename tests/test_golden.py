@@ -266,4 +266,21 @@ def test_outputs_match_recorded_digests(name, tmp_path, schema):
     if "json" in argv:
         reports.append(out)
     for report in reports:
-        jsonschema.validate(json.loads(report), schema)
+        payload = json.loads(report)
+        jsonschema.validate(payload, schema)
+        assert payload["kind"] == argv[0]
+
+
+def test_schema_is_valid_draft_2020_12(schema):
+    jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_cases_emit_every_schema_kind(schema):
+    """Every report kind the schema admits is emitted by some case: each
+    JSON report carries its verb as `kind` (checked per case above)."""
+    schema_kinds = {
+        schema["$defs"][ref["$ref"].rpartition("/")[2]]["properties"]["kind"]["const"]
+        for ref in schema["oneOf"]
+    }
+    emitted = {argv[0] for argv, _, _, _ in CASES.values() if "json" in argv}
+    assert emitted == schema_kinds
