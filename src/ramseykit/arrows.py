@@ -6,25 +6,44 @@ The negation is certified by a good coloring: one with no such copy.
 
 The decision engine is a depth-first search over edge-color assignments
 in a fixed order (edges lexicographic, colors 1..l), pruning a branch
-the moment an assignment completes a monochromatic target clique.  The
-verdict "arrows" is a proof only when the tree was fully exhausted;
-running out of budget raises, it never guesses.  The verdict
-"not_arrows" carries a witness that `verify_good_coloring` has checked.
-Witnesses and node counts are reproducible because the order is fixed.
+the moment an assignment completes a monochromatic target clique, and
+for r >= 3 also the moment a later edge has no color left (forward
+checking, below).  The verdict "arrows" is a proof only when the tree
+was fully exhausted; running out of budget raises, it never guesses.
+The verdict "not_arrows" carries a witness that `verify_good_coloring`
+has checked.  Witnesses and node counts are reproducible because the
+order is fixed.
 
 One node loop serves every r and picks its per-color state by r.  For
 r = 2 it keeps one adjacency bitmask per color and vertex and asks
 whether the common neighbourhood of the new edge holds a clique; for
 r >= 3 it keeps, per color, how many edges of each precomputed target
-clique are laid down.  The choice is one inline `if` in the forward step
-and one in the backtrack, never a per-node callback: a callback skeleton
-exhausted the literal K_9 (3,4) search in 27-31 s against 20-22 s, and
-sending r = 2 through the clique counters took that search to 10^6 nodes
-from 0.74 s to 2.0 s.  Merged, the loop ran the K_8^(3) (4,5) base search
-in 0.41-0.48 s (0.45-0.47 s with two loops), the literal K_9 (3,4)
-search to 10^6 nodes in 0.76-0.87 s (the same with two loops) and the
-row-lex K_13 (3,5) witness in 5.6-5.8 s (5.9-6.3 s), three interleaved
-in-process runs each on a shared 2-core host.
+clique are laid down.  The choice is an inline `if` in the color step,
+the forward step and the backtrack, never a per-node callback: a
+callback skeleton exhausted the literal K_9 (3,4) search in 27-31 s
+against 20-22 s, and sending r = 2 through the clique counters took that
+search to 10^6 nodes from 0.74 s to 2.0 s.
+
+Forward checking (r >= 3).  Color c is forbidden at an unassigned edge e
+when some target c-clique holds e and all its other edges have color c;
+e is blocked when every color is forbidden at it.  The search keeps
+forbid[e][c], the number of such c-cliques, and blocked[e], the number
+of colors forbidden at e, and updates both in the forward step and the
+backtrack.  Edges are colored in index order, so when a clique's count
+in color c reaches one below its size while its last edge is still
+unassigned, that last edge is the one it misses.  At edge j the search
+skips every forbidden color, and it undoes an assignment that blocks a
+later edge and tries the next color.  A node is a color tried at an
+edge that is not forbidden there.
+
+Soundness.  A forbidden color would complete a monochromatic target
+clique, so the plain search rejects it as well.  A blocked edge has no
+color that avoids completing one, so no good coloring extends the
+partial coloring that blocks it.  Forward checking therefore cuts only
+subtrees without a good coloring, and colors are still tried in
+ascending order: the verdict and the first good coloring met are
+unchanged, and only the node count drops (about ninefold on the
+K_8^(3) (4,5) base search).
 
 Row-lex symmetry breaking (``row_lex=True``, complete hosts only).  A
 coloring of K_n is a symmetric matrix A with A[i][j] the color of edge
@@ -66,8 +85,9 @@ nodes without the rule and 8,844 with it.
 The rule needs a complete host: the argument relabels the host, so
 ``row_lex=True`` raises ValueError on any other.  For r >= 3 it is a
 no-op.  Its analogue there, the colors of (1, ..., r-1, v) non-decreasing
-in v, left the K_8^(3) (4,5) base search at 293,995 nodes with or without
-it, so the search stays literal for r >= 3.
+in v, did not change the node count of the K_8^(3) (4,5) base search
+(measured before forward checking), so the r >= 3 search breaks no
+symmetry.
 
 Instances beyond the internal search can be exported as DIMACS CNF:
 the formula is satisfiable exactly when a good coloring exists.
@@ -246,7 +266,7 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
     tree is exhausted.  `tried[i]` is edge i's current color: committed
     for i < j, the last one tried at j, 0 beyond.  The per-color state is
     picked by r: adjacency bitmasks when r = 2, counters over the target
-    cliques when r >= 3."""
+    cliques with forward checking when r >= 3 (module docstring)."""
     edges = G.edges
     m = len(edges)
     ell = targets.num_colors
@@ -268,13 +288,22 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
             for cid, eids in enumerate(cliques):
                 for eidx in eids:
                     through[eidx].append(cid)
-            per_color.append((through, [0] * len(cliques), comb(t, G.k)))
+            # eids[-1] is the clique's last edge in search order
+            last = [eids[-1] for eids in cliques]
+            per_color.append((through, [0] * len(cliques), last, comb(t, G.k) - 1))
+        # forbid[e][c-1]: c-cliques whose only edge not colored c is the
+        # unassigned edge e; blocked[e]: colors c with forbid[e][c-1] > 0
+        forbid = [[0] * ell for _ in range(m)]
+        blocked = [0] * m
 
     tried = [0] * m
     nodes = 0
     j = 0
     while True:
         color = tried[j] + 1
+        if not graph:
+            while color <= ell and forbid[j][color - 1]:
+                color += 1  # this color would complete a target clique
         if color > ell:
             tried[j] = 0
             j -= 1
@@ -288,9 +317,7 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
                 if row_lex:
                     tied = tied_before[j]
             else:
-                through, counts, _need = per_color[tried[j] - 1]
-                for cid in through[j]:
-                    counts[cid] -= 1
+                _unlay(per_color, forbid, blocked, j, tried[j])
             continue
         tried[j] = color
         nodes += 1
@@ -330,22 +357,43 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
             a[u] |= 1 << v
             a[v] |= 1 << u
         else:
-            through, counts, need = per_color[color - 1]
-            lst = through[j]
-            completed = -1
-            for pos, cid in enumerate(lst):
+            ci = color - 1
+            through, counts, last, almost = per_color[ci]
+            wiped = False
+            for cid in through[j]:
                 grown = counts[cid] + 1
                 counts[cid] = grown
-                if grown == need:
-                    completed = pos
-                    break
-            if completed >= 0:
-                for pos in range(completed + 1):
-                    counts[lst[pos]] -= 1
-                continue  # completing a monochromatic clique; try next color
+                if grown == almost:
+                    e = last[cid]
+                    # e == j: another edge of the clique has another color
+                    if e > j:
+                        row = forbid[e]
+                        if not row[ci]:
+                            blocked[e] += 1
+                            if blocked[e] == ell:
+                                wiped = True
+                        row[ci] += 1
+            if wiped:
+                _unlay(per_color, forbid, blocked, j, color)
+                continue  # a later edge has every color forbidden; try next color
         j += 1
         if j == m:
             return tried, nodes
+
+
+def _unlay(per_color, forbid, blocked, j, color) -> None:
+    """Undo the r >= 3 search's counter updates for edge j in `color`."""
+    ci = color - 1
+    through, counts, last, almost = per_color[ci]
+    for cid in through[j]:
+        grown = counts[cid]
+        e = last[cid]
+        if grown == almost and e > j:
+            row = forbid[e]
+            row[ci] -= 1
+            if not row[ci]:
+                blocked[e] -= 1
+        counts[cid] = grown - 1
 
 
 def _target_clique_edges(G, targets) -> dict[int, list[list[int]]]:

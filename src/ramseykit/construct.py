@@ -13,10 +13,12 @@ r-linear hypergraph admits a well-defined lift of any edge coloring of
 the complete r-graph on [1..s] to its primal r-graph.
 
 Randomness: every sampling call takes an explicit 64-bit seed and uses
-numpy's PCG64 stream seeded through ``SeedSequence(seed)``.  Trial i of a
-multi-trial run uses the derived seed ``trial_seed(master_seed, i)``
-(SHA-256 based, platform independent).  Identical seeds give identical
-hypergraphs; reports contain no wall-clock data, so reruns are
+numpy's PCG64 stream seeded through ``SeedSequence(seed)``.  numpy is
+loaded only when `sample_hypergraph` draws, so a process that never
+samples (``ramsey``, ``arrow``, ``density``) does not import it.  Trial
+i of a multi-trial run uses the derived seed ``trial_seed(master_seed,
+i)`` (SHA-256 based, platform independent).  Identical seeds give
+identical hypergraphs; reports contain no wall-clock data, so reruns are
 byte-identical.
 """
 
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from statistics import fmean
-
-import numpy as np
 
 from .covers import CoverFamily, _check_srt, enumerate_minimal_nontrivial_covers
 from .hypergraph import (
@@ -221,6 +221,8 @@ def sample_hypergraph(n: int, s: int, p: float | Fraction, seed: int) -> Uniform
             f"C({n},{s}) = {total} candidate edges exceeds the supported "
             "sampling scale (needs to fit a signed 64-bit integer)"
         )
+    import numpy as np  # here, not at module level: see the module docstring
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if total <= DEFAULT_DENSE_LIMIT:
         mask = rng.random(total) < pf

@@ -136,25 +136,25 @@ def count_good_colorings_graph(n, t_red, t_blue):
     return int((~bad).sum())
 
 
-def exhaustive_good_coloring_exists(n, k, edges, targets):
-    """Plain product scan over all colorings of the given edges.
+def lex_first_good_coloring(n, k, edges, targets):
+    """Plain product scan over all colorings of the given edges, sorted,
+    in lexicographic order of their color tuples.
 
-    `targets` is a sequence of clique sizes, one per color.  Feasible
-    only for a handful of edges."""
+    `targets` is a sequence of clique sizes, one per color.  Returns the
+    first coloring in which no color class holds its target clique, as
+    {edge: color}, or None when every coloring does.  Feasible only for a
+    handful of edges."""
     edges = sorted(tuple(sorted(e)) for e in edges)
-    ell = len(targets)
-    for colors in itertools.product(range(1, ell + 1), repeat=len(edges)):
-        by_color = {c: set() for c in range(1, ell + 1)}
-        for e, c in zip(edges, colors):
-            by_color[c].add(e)
-        good = True
-        for c, t in enumerate(targets, start=1):
-            if naive_cliques(n, k, by_color[c], t):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    index = {e: i for i, e in enumerate(edges)}
+    cliques = [
+        (color, [index[b] for b in itertools.combinations(W, k)])
+        for color, t in enumerate(targets, start=1)
+        for W in naive_cliques(n, k, edges, t)
+    ]
+    for colors in itertools.product(range(1, len(targets) + 1), repeat=len(edges)):
+        if not any(all(colors[i] == color for i in ids) for color, ids in cliques):
+            return dict(zip(edges, colors))
+    return None
 
 
 def row_lex_ordered(n, colors):
@@ -236,6 +236,53 @@ def search_nodes(n, sizes, row_lex):
 
     dfs(0)
     return nodes
+
+
+def forward_checked_search(n, k, edges, sizes):
+    """The arrowing search with forward checking, on any k-graph, with
+    every test recomputed from the partial coloring at each node.
+
+    Edges go in lexicographic order and colors ascending.  Color c is
+    forbidden at edge e when some target c-clique holds e and all its
+    other edges already have color c.  A node is a non-forbidden color
+    tried at an edge; it is abandoned when some later edge has every color
+    forbidden.  Returns (the first full coloring reached, as {edge: color},
+    or None when the tree is exhausted; the number of nodes)."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    ell = len(sizes)
+    # per color and edge: the other edges of each target clique through it
+    others = [{e: [] for e in edges} for _ in sizes]
+    for color, t in enumerate(sizes, start=1):
+        for W in naive_cliques(n, k, edges, t):
+            rsubs = list(itertools.combinations(W, k))
+            for e in rsubs:
+                others[color - 1][e].append([b for b in rsubs if b != e])
+    colors = {}
+    nodes = 0
+
+    def forbidden(e, color):
+        return any(
+            all(colors.get(b) == color for b in rest) for rest in others[color - 1][e]
+        )
+
+    def dfs(idx):
+        nonlocal nodes
+        if idx == len(edges):
+            return True
+        e = edges[idx]
+        for color in range(1, ell + 1):
+            if forbidden(e, color):
+                continue
+            nodes += 1
+            colors[e] = color
+            if not any(
+                all(forbidden(f, c) for c in range(1, ell + 1)) for f in edges[idx + 1:]
+            ) and dfs(idx + 1):
+                return True
+            del colors[e]
+        return False
+
+    return (dict(colors) if dfs(0) else None), nodes
 
 
 def parse_dimacs(text):

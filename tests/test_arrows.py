@@ -24,7 +24,8 @@ from ramseykit import (
 from oracles import (
     count_good_colorings_graph,
     dpll_satisfiable,
-    exhaustive_good_coloring_exists,
+    forward_checked_search,
+    lex_first_good_coloring,
     naive_cliques,
     parse_dimacs,
     row_lex_ordered,
@@ -151,13 +152,13 @@ class TestArrowsDecision:
         G = complete_hypergraph(5, 3)
         targets = TargetList(3, (4, 4))
         res = arrows_decision(G, targets)
-        oracle = exhaustive_good_coloring_exists(5, 3, G.edges, (4, 4))
-        assert (res.verdict == "not_arrows") == oracle
+        oracle = lex_first_good_coloring(5, 3, G.edges, (4, 4))
+        assert (res.verdict == "not_arrows") == (oracle is not None)
         if res.witness is not None:
             assert verify_good_coloring(G, res.witness, targets)
 
     @pytest.mark.parametrize(
-        "n, nodes", [(4, 5), (5, 21), (6, 260), (7, 22_647)]
+        "n, nodes", [(4, 4), (5, 14), (6, 77), (7, 2_367)]
     )
     def test_three_uniform_node_counts_pinned(self, n, nodes):
         # node counts are reproducible: the r >= 3 search order is fixed
@@ -171,7 +172,7 @@ class TestArrowsDecision:
             complete_hypergraph(8, 3), TargetList(3, (4, 5)), row_lex=True
         )
         assert res.verdict == "not_arrows"
-        assert res.nodes_explored == 293_995
+        assert res.nodes_explored == 33_989
         text = repr(sorted(res.witness.assignment.items())).encode()
         assert hashlib.sha256(text).hexdigest() == (
             "f86df675ae9ac764b3609b428335e5061c437a00b87710c83874771d39a4fb8e"
@@ -191,6 +192,49 @@ class TestArrowsDecision:
         targets = TargetList(2, (3, 3))
         if arrows_decision(small, targets).verdict == "arrows":
             assert arrows_decision(big, targets).verdict == "arrows"
+
+
+def _agrees_with_oracles(G, sizes, *, lex_first):
+    """Verdict, witness and node count of the r >= 3 search equal the
+    brute-force forward-checked search's; with `lex_first`, the witness is
+    also the first good coloring in plain product order."""
+    result = arrows_decision(G, TargetList(G.k, sizes))
+    coloring, nodes = forward_checked_search(G.n, G.k, G.edges, sizes)
+    assert result.verdict == ("arrows" if coloring is None else "not_arrows")
+    assert (None if result.witness is None else result.witness.assignment) == coloring
+    assert result.nodes_explored == nodes
+    if lex_first:
+        assert coloring == lex_first_good_coloring(G.n, G.k, G.edges, sizes)
+
+
+class TestForwardChecking:
+    @pytest.mark.parametrize("n, sizes", [
+        (4, (4, 4)), (5, (4, 4)), (6, (4, 4)), (7, (4, 4)),
+        (6, (4, 5)), (7, (4, 5)), (4, (4,)), (5, (4,)),
+    ])
+    def test_complete_hosts_match_the_oracles(self, n, sizes):
+        # product order reaches K_7's first good coloring only after ~10^8
+        # colorings, so there the forward-checked oracle stands alone
+        _agrees_with_oracles(complete_hypergraph(n, 3), sizes, lex_first=n <= 6)
+
+    def test_k6_minus_an_edge_matches_the_oracles(self):
+        # each of these hosts makes the (4,4) search backtrack
+        edges = complete_hypergraph(6, 3).edges
+        for removed in edges:
+            host = UniformHypergraph(6, 3, [e for e in edges if e != removed])
+            _agrees_with_oracles(host, (4, 4), lex_first=True)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_hosts_match_the_oracles(self, data):
+        k = data.draw(st.sampled_from([3, 4]))
+        n = data.draw(st.integers(k + 1, 6))
+        ell = data.draw(st.integers(2, 3))
+        edges = complete_hypergraph(n, k).edges
+        removed = data.draw(st.sets(st.sampled_from(edges), min_size=1, max_size=4))
+        sizes = tuple(data.draw(st.lists(st.integers(k + 1, n), min_size=ell, max_size=ell)))
+        host = UniformHypergraph(n, k, [e for e in edges if e not in removed])
+        _agrees_with_oracles(host, sizes, lex_first=True)
 
 
 def _is_good(n, colors, sizes):

@@ -375,6 +375,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "9/2"
 
+    def test_numpy_is_loaded_only_by_the_sampler(self):
+        # numpy is most of a process's start-up time and memory
+        code = (
+            "import sys\n"
+            "import ramseykit.cli\n"
+            "assert 'numpy' not in sys.modules, 'imported by ramseykit.cli'\n"
+            "ramseykit.cli.main(['ramsey', '--targets', '3,3', '--r', '2', '--nmax', '6'])\n"
+            "assert 'numpy' not in sys.modules, 'imported by ramsey'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "6"
+
     def test_unknown_verb_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ramseykit.cli", "frobnicate"],
