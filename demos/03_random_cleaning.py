@@ -4,8 +4,9 @@ Two configuration kinds break the primal construction: edge pairs
 sharing >= r vertices, and minimal non-trivial r-covers of t-sets by
 edges.  Deleting one edge per configuration leaves an r-linear,
 (r, t)-conformal sub-hypergraph; in the sparse regime the deleted
-fraction is tiny.  The exact trace-cover bound shows why: the expected
-number of covers of a fixed t-set is far below p * n^(s - t).
+fraction is tiny.  The exact expectation and its trace-cover bound show
+why: the expected number of covers of a fixed t-set is far below
+p * n^(s - t).
 """
 
 from ramseykit import (
@@ -43,9 +44,10 @@ for rec in stats.records[:3]:
     print(" ", rec.seed, rec.edges_sampled, rec.cover_violations,
           rec.linearity_violations, rec.deleted, rec.edges_clean)
 
-print("\n== exact expectation bound for covers of a fixed 3-set ==")
+print("\n== exact expectation and bound for covers of a fixed 3-set ==")
 bound = expected_cover_bound(n, s, r, t, p)
 print(f"trace covers: {bound.trace_count}")
+print(f"exact     = E[X_W] = {float(bound.exact):.4e}")
 print(f"bound     = {float(bound.total):.4e}")
 print(f"reference = p * n^(s-t) = {float(bound.reference):.4e}")
 print(f"ratio     = {float(bound.ratio):.5f}  (far below 1)")

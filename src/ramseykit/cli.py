@@ -63,12 +63,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_targets(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse target list {text!r}, expected e.g. 3,3") from None
-    if not sizes:
-        raise UsageError("target list is empty")
-    return sizes
 
 
 def _write_text(path: str, text: str) -> None:
@@ -271,13 +268,13 @@ def _cmd_experiment(args) -> int:
     stats = run_trials(args.n, args.s, args.r, args.t, p, args.trials, args.seed)
     payload = {
         "kind": "experiment",
-        "n": stats.n,
-        "s": stats.s,
-        "r": stats.r,
-        "t": stats.t,
-        "p": str(stats.p),
+        "n": args.n,
+        "s": args.s,
+        "r": args.r,
+        "t": args.t,
+        "p": str(p),
         "trials": stats.trials,
-        "master_seed": stats.master_seed,
+        "master_seed": args.seed,
         "mean_edges": stats.mean_edges,
         "mean_cover_violations": stats.mean_cover_violations,
         "mean_linearity_violations": stats.mean_linearity_violations,
@@ -288,11 +285,11 @@ def _cmd_experiment(args) -> int:
     if args.lemma42:
         bound = expected_cover_bound(args.n, args.s, args.r, args.t, p)
         payload["cover_bound"] = {
-            "n": bound.n,
-            "s": bound.s,
-            "r": bound.r,
-            "t": bound.t,
-            "p": str(bound.p),
+            "n": args.n,
+            "s": args.s,
+            "r": args.r,
+            "t": args.t,
+            "p": str(p),
             "trace_count": bound.trace_count,
             "bound": str(bound.total),
             "reference": str(bound.reference),

@@ -48,7 +48,6 @@ __all__ = [
     "CleanReport",
     "TrialRecord",
     "TrialStats",
-    "CoverCountEstimate",
     "parse_probability",
     "trial_seed",
     "sample_hypergraph",
@@ -59,7 +58,6 @@ __all__ = [
     "clean",
     "lift_coloring",
     "run_trials",
-    "estimate_cover_count",
 ]
 
 _MAX_SEED = 2**64 - 1
@@ -455,12 +453,6 @@ class TrialStats:
     Every aggregate is recomputable from `records`.
     """
 
-    n: int
-    s: int
-    r: int
-    t: int
-    p: Fraction
-    master_seed: int
     records: tuple[TrialRecord, ...]
 
     @property
@@ -498,19 +490,6 @@ class TrialStats:
         return (self.mean_cover_violations + self.mean_linearity_violations) / self.mean_edges
 
 
-def _trial_hypergraphs(
-    n: int, s: int, p: float | Fraction, trials: int, master_seed: int
-):
-    """Yield (seed, H) for trials 0..trials-1, where trial i samples
-    H(n, s, p) on the derived seed ``trial_seed(master_seed, i)``."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_seed(master_seed)
-    for i in range(trials):
-        seed = trial_seed(master_seed, i)
-        yield seed, sample_hypergraph(n, s, p, seed)
-
-
 def run_trials(
     n: int,
     s: int,
@@ -526,8 +505,13 @@ def run_trials(
     trials are independent streams and the whole run is reproducible
     from the master seed alone.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    _check_seed(master_seed)
     records = []
-    for seed, H in _trial_hypergraphs(n, s, p, trials, master_seed):
+    for i in range(trials):
+        seed = trial_seed(master_seed, i)
+        H = sample_hypergraph(n, s, p, seed)
         report = clean(H, r, t)
         records.append(
             TrialRecord(
@@ -539,49 +523,5 @@ def run_trials(
                 edges_clean=report.result.num_edges,
             )
         )
-    return TrialStats(
-        n=n, s=s, r=r, t=t, p=Fraction(p), master_seed=master_seed,
-        records=tuple(records),
-    )
+    return TrialStats(tuple(records))
 
-
-@dataclass(frozen=True)
-class CoverCountEstimate:
-    """Monte Carlo estimate of the expected number of minimal
-    non-trivial r-covers of a fixed t-set by edges of H(n, s, p)."""
-
-    trials: int
-    mean: float
-    std_error: float
-
-
-def estimate_cover_count(
-    n: int,
-    s: int,
-    r: int,
-    t: int,
-    p: float | Fraction,
-    trials: int,
-    master_seed: int,
-) -> CoverCountEstimate:
-    """Estimate E(X_W) for W = [1..t] by sampling.
-
-    H(n, s, p) is invariant under every permutation of [1..n], and such
-    a permutation maps the minimal non-trivial covers of one t-set onto
-    those of its image, so E(X_W) is the same for every t-set W and
-    W = [1..t] stands for all of them.
-    """
-    _check_srt(s, r, t)
-    W = tuple(range(1, t + 1))
-    wset = set(W)
-    counts = []
-    for _, H in _trial_hypergraphs(n, s, p, trials, master_seed):
-        relevant = [A for A in H.edges if len(wset.intersection(A)) >= r]
-        counts.append(len(enumerate_minimal_nontrivial_covers(W, relevant, r)))
-    mean = fmean(counts)
-    if trials > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (trials - 1)
-        std_error = (var / trials) ** 0.5
-    else:
-        std_error = float("inf")
-    return CoverCountEstimate(trials=trials, mean=mean, std_error=std_error)

@@ -10,11 +10,12 @@ if no proper subfamily still covers.  The central exact quantities are
   (|E| - 1) * (r - 1/m) - sum(|A|) <= -t
   for minimal non-trivial covers of a t-set, algebraically equivalent to
   phi >= t - r;
-* ``expected_cover_bound``: the exact evaluation of
-  sum over trace covers E of prod_A C(n, s - |A|) * p^|E|,
-  an upper bound for the expected number of minimal non-trivial r-covers
-  of a fixed t-set by edges of a binomial random s-graph, reported next
-  to the reference value p * n^(s-t).
+* ``expected_cover_bound``: the expected number E[X_W] of minimal
+  non-trivial r-covers of a fixed t-set W by edges of a binomial random
+  s-graph, as its exact value
+  sum over trace covers E of prod_A C(n - t, s - |A|) * p^|E|
+  and as the bound with C(n, s - |A|) in place of C(n - t, s - |A|),
+  reported next to the reference value p * n^(s-t).
 
 Everything here is pure and exact (``fractions.Fraction``); enumeration
 order is deterministic.
@@ -258,21 +259,18 @@ def reduction_sequence(
 
 @dataclass(frozen=True)
 class CoverBoundReport:
-    """Exact evaluation of the trace-cover expectation bound.
+    """Exact evaluation of the trace-cover expectation and its bound.
 
     ``bound_terms`` pairs each minimal non-trivial r-cover of [t] by
     proper subsets (sizes r..min(t-1, s)) with its contribution
-    prod_A C(n, s - |A|) * p^|E|; ``total`` is their sum and
+    prod_A C(n, s - |A|) * p^|E|; ``total`` is their sum, ``exact`` is
+    E[X_W] itself (the same sum with C(n - t, s - |A|)), and
     ``reference`` is p * n^(s - t).
     """
 
-    n: int
-    s: int
-    r: int
-    t: int
-    p: Fraction
     bound_terms: tuple[tuple[CoverFamily, Fraction], ...]
     total: Fraction
+    exact: Fraction
     reference: Fraction
 
     @property
@@ -289,15 +287,20 @@ class CoverBoundReport:
 def expected_cover_bound(
     n: int, s: int, r: int, t: int, p: Fraction | float | int
 ) -> CoverBoundReport:
-    """Exact upper bound for the expected number of minimal non-trivial
-    r-covers of a fixed t-set by edges of a binomial random s-graph.
+    """Expected number E[X_W] of minimal non-trivial r-covers of a fixed
+    t-set W by edges of a binomial random s-graph: exact, and bounded.
 
-    Every cover by s-edges traces to a minimal non-trivial cover of [t]
-    by proper subsets of [t]; a trace member A extends to at most
-    C(n, s - |A|) edges, and a cover of size k occurs with probability
-    p^k.  Member sizes are capped at min(t - 1, s): below r a member is
-    useless, t or above collapses to the trivial cover, and more than s
-    vertices cannot fit in one edge.
+    An edge's trace on W is B & W.  A set of edges is a minimal
+    non-trivial cover of W exactly when its traces are pairwise
+    distinct, each a proper subset of W with at least r vertices, and
+    together a minimal non-trivial cover of W: a repeated trace or a
+    trace containing W makes the family reducible, and a trace below r
+    vertices covers nothing.  Exactly C(n - t, s - |A|) s-sets have
+    trace A, and distinct edges are present independently, so
+    E[X_W] = sum over trace covers E of p^|E| * prod_A C(n - t, s - |A|).
+    The bound counts C(n, s - |A|) extensions per trace, so each of its
+    terms is at least the exact one.  Trace sizes are capped at
+    min(t - 1, s), since more than s vertices cannot fit in one edge.
     """
     _check_srt(s, r, t)
     if n < s:
@@ -314,15 +317,16 @@ def expected_cover_bound(
     ]
     traces = enumerate_minimal_nontrivial_covers(target, candidates, r)
     terms = []
-    total = Fraction(0)
+    total = exact = Fraction(0)
     for family in traces:
-        term = pfrac ** family.size
+        term = hit = pfrac ** family.size
         for A in family.members:
             term *= comb(n, s - len(A))
+            hit *= comb(n - t, s - len(A))
         terms.append((family, term))
         total += term
+        exact += hit
     reference = pfrac * Fraction(n) ** (s - t)
     return CoverBoundReport(
-        n=n, s=s, r=r, t=t, p=pfrac,
-        bound_terms=tuple(terms), total=total, reference=reference,
+        bound_terms=tuple(terms), total=total, exact=exact, reference=reference,
     )

@@ -69,6 +69,33 @@ def powerset_minimal_covers(W, candidates, r):
     return minimal
 
 
+def brute_force_cover_expectation(n, s, r, t, p):
+    """E[X_W] for W = [1..t] in H(n, s, p): p^|F| summed over every family
+    F of s-subsets of [n] that is a minimal non-trivial r-cover of W.
+
+    An s-set meeting W in fewer than r vertices covers no r-subset of W,
+    and each member of a minimal cover covers an r-subset that no other
+    member does, so only the s-sets meeting W in >= r vertices and only
+    families of at most C(t, r) members can contribute.
+    """
+    W = set(range(1, t + 1))
+    rsubs = [set(b) for b in itertools.combinations(sorted(W), r)]
+    cands = [set(e) for e in itertools.combinations(range(1, n + 1), s)
+             if len(W.intersection(e)) >= r]
+
+    def covers(family):
+        return all(any(b <= a for a in family) for b in rsubs)
+
+    total = Fraction(0)
+    for size in range(2, len(rsubs) + 1):
+        for family in itertools.combinations(cands, size):
+            if covers(family) and not any(
+                covers(family[:i] + family[i + 1:]) for i in range(size)
+            ):
+                total += Fraction(p) ** size
+    return total
+
+
 def walk_unrank_subset(rank, n, k):
     """The rank-th k-subset of 1..n in lexicographic order, by walking
     v = 1..n and skipping the C(n - v, k - 1) subsets that start at v."""

@@ -26,7 +26,6 @@ from ramseykit import (
     count_mono_clique_copies,
     enumerate_cliques,
     enumerate_minimal_nontrivial_covers,
-    estimate_cover_count,
     expected_cover_bound,
     export_cnf,
     lift_coloring,
@@ -127,17 +126,24 @@ def test_a3_cover_inequality_exhaustive():
 
 
 def test_a4_expectation_bound_desk_scale():
-    p = parse_probability("n^-2.75", 200)
-    report = expected_cover_bound(200, 4, 2, 3, p)
+    n, s, r, t = 200, 4, 2, 3
+    p = parse_probability("n^-2.75", n)
+    report = expected_cover_bound(n, s, r, t, p)
     ratio = report.ratio
     assert ratio < Fraction(1, 10), f"exact ratio {float(ratio)} not below 0.1"
+    assert report.exact <= report.total
 
-    estimate = estimate_cover_count(200, 4, 2, 3, float(p), 10_000, MASTER_SEED)
-    # one-sided: the sample mean must not exceed the exact bound at 3 SE
-    assert estimate.mean <= float(report.total) + 3 * estimate.std_error
-    _report("A4", f"exact bound/reference = {float(ratio):.4f} < 0.1; "
-                  f"Monte Carlo mean {estimate.mean:.2e} (10^4 trials) sits "
-                  f"below the exact bound {float(report.total):.2e}")
+    # two-sided: the mean cover-violation count X over C(n, t) t-sets
+    # must lie within 4 SE of its exact expectation C(n, t) * E[X_W]
+    stats = run_trials(n, s, r, t, p, 300, MASTER_SEED)
+    xs = [rec.cover_violations for rec in stats.records]
+    mean = stats.mean_cover_violations
+    stderr = math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1) / len(xs))
+    exact = float(math.comb(n, t) * report.exact)
+    assert abs(mean - exact) <= 4 * stderr, (mean, exact, stderr)
+    _report("A4", f"exact bound/reference = {float(ratio):.4f} < 0.1; mean X "
+                  f"{mean:.3f} +- {stderr:.3f} (300 trials) matches the exact "
+                  f"C(n,t) E[X_W] = {exact:.3f}")
 
 
 def _pentagon_base():
@@ -220,12 +226,14 @@ def test_a7_overlap_pair_expectation():
     mean = sum(ys) / trials
     variance = sum((y - mean) ** 2 for y in ys) / (trials - 1)
     stderr = math.sqrt(variance / trials)
-    bound = float(
-        Fraction(math.comb(n, s) * math.comb(s, r) * math.comb(n, s - r)) * p * p
-    )
-    assert mean <= bound + 3 * stderr, (mean, bound, stderr)
+    # unordered pairs of distinct s-sets meeting in j >= r vertices, each
+    # pair present with probability p^2
+    exact = float(Fraction(math.comb(n, s), 2) * sum(
+        math.comb(s, j) * math.comb(n - s, s - j) for j in range(r, s)
+    ) * p * p)
+    assert abs(mean - exact) <= 4 * stderr, (mean, exact, stderr)
     _report("A7", f"mean overlap pairs {mean:.4f} over 10^3 samples within "
-                  f"bound {bound:.4f} + 3 SE ({3 * stderr:.4f})")
+                  f"4 SE ({4 * stderr:.4f}) of the exact E[Y] = {exact:.4f}")
 
 
 def test_a8_determinism(tmp_path):

@@ -315,6 +315,13 @@ class TestRamseyVerb:
         assert code == 64
         assert message in err
 
+    @pytest.mark.parametrize("targets", ["", ",", "3,x"])
+    def test_unparseable_targets_are_usage_errors(self, capsys, targets):
+        code, out, err = run(capsys, "ramsey", "--targets", targets, "--r", "2", "--nmax", "6")
+        assert code == 64
+        assert out == ""
+        assert "cannot parse target list" in err
+
 
 class TestExperimentVerb:
     def test_zero_probability_row(self, capsys, tmp_path, schema):

@@ -16,7 +16,6 @@ from ramseykit import (
     complete_hypergraph,
     conformality_violations,
     enumerate_cliques,
-    estimate_cover_count,
     expected_cover_bound,
     is_conformal,
     is_r_linear,
@@ -225,6 +224,19 @@ class TestConformalityViolations:
         got = [(fam.target, fam.members) for fam in conformality_violations(H, r, t)]
         assert got == want
 
+    @pytest.mark.xfail(strict=True, reason="cleaning defect: t-sets inside one edge are skipped")
+    def test_mean_count_matches_exact_expectation(self):
+        # Lemma 4.2 counts the covers of every t-set, so over all C(n, t)
+        # of them the expected number of violations is C(n, t) * E[X_W];
+        # the scan skips every W inside a single edge and reads low
+        n, s, r, t, p = 10, 4, 2, 3, Fraction(1, 20)
+        seeds = [trial_seed(20260809, i) for i in range(200)]
+        xs = [len(conformality_violations(sample_hypergraph(n, s, p, seed), r, t)) for seed in seeds]
+        mean = sum(xs) / len(xs)
+        stderr = math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1) / len(xs))
+        exact = math.comb(n, t) * expected_cover_bound(n, s, r, t, p).exact
+        assert abs(mean - exact) <= 4 * stderr, (mean, float(exact), stderr)
+
 
 class TestClean:
     def test_already_clean(self):
@@ -430,6 +442,10 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(40, 3, 2, 3, 0.02, 0, 1)
 
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError):
+            run_trials(50, 4, 2, 3, 0.0, 2, -1)
+
 
 class TestTrialSeed:
     def test_stable_values(self):
@@ -438,27 +454,3 @@ class TestTrialSeed:
         assert trial_seed(0, 0) != trial_seed(0, 1)
         assert trial_seed(0, 0) != trial_seed(1, 0)
         assert 0 <= trial_seed(12345, 678) < 2**64
-
-
-class TestEstimateCoverCount:
-    def test_zero_probability(self):
-        est = estimate_cover_count(50, 4, 2, 3, 0.0, 20, 3)
-        assert est.mean == 0.0
-
-    def test_dense_instance_finds_covers(self):
-        # with p = 1 on a small instance, X_W is a positive constant
-        est = estimate_cover_count(5, 4, 2, 3, 1.0, 2, 9)
-        assert est.mean > 0
-        assert est.std_error == 0.0
-
-    def test_mean_below_exact_bound(self):
-        p = Fraction(1, 50)
-        est = estimate_cover_count(12, 4, 2, 3, p, 400, 77)
-        bound = expected_cover_bound(12, 4, 2, 3, p)
-        assert est.mean <= float(bound.total) + 3 * est.std_error
-
-    def test_validates_master_seed_like_run_trials(self):
-        with pytest.raises(ValueError):
-            run_trials(50, 4, 2, 3, 0.0, 2, -1)
-        with pytest.raises(ValueError):
-            estimate_cover_count(50, 4, 2, 3, 0.0, 2, -1)

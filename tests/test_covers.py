@@ -15,7 +15,7 @@ from ramseykit import (
     reduction_sequence,
 )
 
-from oracles import powerset_minimal_covers
+from oracles import brute_force_cover_expectation, powerset_minimal_covers
 
 
 def proper_subsets(t, r, hi=None):
@@ -230,6 +230,19 @@ class TestExpectedCoverBound:
         assert report.trace_count == 15
         for fam, _ in report.bound_terms:
             assert all(2 <= len(A) <= 3 for A in fam.members)
+
+    @pytest.mark.parametrize("n, s, r, t, p", [
+        (7, 3, 2, 3, Fraction(1, 7)),
+        (8, 4, 2, 3, Fraction(1, 7)),
+        (8, 4, 3, 4, Fraction(1, 7)),
+        (7, 5, 2, 3, Fraction(1, 7)),
+        (5, 4, 2, 3, Fraction(1)),  # one cover: the three 4-sets {a, b, 4, 5}
+        (7, 3, 2, 3, Fraction(0)),
+    ])
+    def test_exact_matches_brute_force_sum(self, n, s, r, t, p):
+        report = expected_cover_bound(n, s, r, t, p)
+        assert report.exact == brute_force_cover_expectation(n, s, r, t, p)
+        assert report.exact <= report.total
 
     def test_validates(self):
         with pytest.raises(ValueError):
