@@ -45,12 +45,12 @@ ascending order: the verdict and the first good coloring met are
 unchanged, and only the node count drops (about ninefold on the
 K_8^(3) (4,5) base search).
 
-Row-lex symmetry breaking (``row_lex=True``, complete hosts only).  A
-coloring of K_n is a symmetric matrix A with A[i][j] the color of edge
-{i, j}; row i restricted to the columns other than i and i+1 is written
-A[i]'.  The rule keeps only colorings with A[i]' <=_lex A[i+1]' for
-every i < n: the sb*_l constraint of Codish, Miller, Prosser and
-Stuckey, "Constraints for symmetry breaking in graph representation",
+Row-lex symmetry breaking (complete r = 2 hosts).  A coloring of K_n
+is a symmetric matrix A with A[i][j] the color of edge {i, j}; row i
+restricted to the columns other than i and i+1 is written A[i]'.  The
+rule keeps only colorings with A[i]' <=_lex A[i+1]' for every i < n:
+the sb*_l constraint of Codish, Miller, Prosser and Stuckey,
+"Constraints for symmetry breaking in graph representation",
 Constraints 24 (2019), read with colors 1..l instead of 0/1.
 
 Soundness.  Relabelling vertices maps good colorings to good colorings,
@@ -82,12 +82,12 @@ tied gets a larger color in row i than in row i+1, i.e. only when the
 rule is definitely broken.  Exhausting K_9 at (3,4) takes 29,196,464
 nodes without the rule and 8,844 with it.
 
-The rule needs a complete host: the argument relabels the host, so
-``row_lex=True`` raises ValueError on any other.  For r >= 3 it is a
-no-op.  Its analogue there, the colors of (1, ..., r-1, v) non-decreasing
-in v, did not change the node count of the K_8^(3) (4,5) base search
-(measured before forward checking), so the r >= 3 search breaks no
-symmetry.
+The argument relabels the host, so it holds exactly on complete hosts:
+the search applies the rule to every complete r = 2 host, `arrow`'s
+included, and to no other host.  For r >= 3 its analogue, the
+colors of (1, ..., r-1, v) non-decreasing in v, did not change the node
+count of the K_8^(3) (4,5) base search (measured before forward
+checking), so the r >= 3 search breaks no symmetry.
 
 Instances beyond the internal search can be exported as DIMACS CNF:
 the formula is satisfiable exactly when a good coloring exists.
@@ -261,12 +261,13 @@ def _grows_clique(a: list[int], mask: int, size: int) -> bool:
     return False
 
 
-def _search(G, targets, max_nodes, max_seconds, started, row_lex):
+def _search(G, targets, max_nodes, max_seconds, started):
     """The DFS over edge colors; (colors, nodes), colors None when the
     tree is exhausted.  `tried[i]` is edge i's current color: committed
     for i < j, the last one tried at j, 0 beyond.  The per-color state is
-    picked by r: adjacency bitmasks when r = 2, counters over the target
-    cliques with forward checking when r >= 3 (module docstring)."""
+    picked by r: adjacency bitmasks (and row-lex on K_n) when r = 2,
+    counters over the target cliques with forward checking when r >= 3
+    (module docstring)."""
     edges = G.edges
     m = len(edges)
     ell = targets.num_colors
@@ -276,6 +277,7 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
         # once an edge is laid down (target size minus the edge endpoints)
         grow = [t - 2 for t in targets.sizes]
         adj = [[0] * (G.n + 1) for _ in range(ell)]
+        row_lex = m == comb(G.n, 2)
         row_pairs = _row_lex_pairs(G) if row_lex else None
         tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
         tied_before = [0] * m
@@ -346,8 +348,6 @@ def _search(G, targets, max_nodes, max_seconds, started, row_lex):
                 completes = _grows_clique(a, common, size)
             if completes:
                 continue  # completing a monochromatic clique; try next color
-            # the row-lex hook sits in the r = 2 branch only: arrows_decision
-            # never passes row_lex for r >= 3
             if row_lex:
                 after = _row_lex_step(row_pairs[j], tied, tried, color)
                 if after < 0:
@@ -416,7 +416,6 @@ def arrows_decision(
     *,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
-    row_lex: bool = False,
 ) -> ArrowResult:
     """Decide whether every coloring of G hits some target clique.
 
@@ -427,18 +426,12 @@ def arrows_decision(
     SearchBudgetExceeded; an undecided search never turns into a verdict.
     A negative budget raises ValueError; 0 is a valid budget.
 
-    With ``row_lex`` the r = 2 search skips colorings whose rows are out
-    of lex order (module docstring); verdict and witness are unchanged,
-    only the node count drops.  It requires a complete host (ValueError
-    otherwise) and does nothing for r >= 3.
+    On every complete r = 2 host the search skips colorings whose rows
+    are out of lex order (module docstring): verdict and witness are
+    those of the literal search, only the node count drops.
     """
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
-    if row_lex and G.num_edges != comb(G.n, G.k):
-        raise ValueError(
-            f"row-lex symmetry breaking needs a complete host; this one has "
-            f"{G.num_edges} of {comb(G.n, G.k)} edges"
-        )
     for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if budget is not None and budget < 0:
             raise ValueError(f"{name} must be >= 0, got {budget}")
@@ -446,9 +439,7 @@ def arrows_decision(
     if not G.edges:
         colors, nodes = [], 0
     else:
-        colors, nodes = _search(
-            G, targets, max_nodes, max_seconds, started, row_lex and G.k == 2
-        )
+        colors, nodes = _search(G, targets, max_nodes, max_seconds, started)
     if colors is None:
         return ArrowResult("arrows", None, nodes)
     witness = EdgeColoring(G, targets.num_colors, dict(zip(G.edges, colors)))
@@ -518,10 +509,10 @@ def ramsey_number(
     of the larger host restricts to the smaller, so the minimum over all
     r-graphs equals the minimum over complete hosts.  Hosts smaller than
     the largest target trivially fail (color everything in that target's
-    color).  Each host is searched with row-lex symmetry breaking, which
-    keeps every verdict.  Raises RamseyUndecidedError when n_max is too
-    small, and lets SearchBudgetExceeded bubble up; the node and time
-    budgets apply to each host separately.
+    color).  Each host is complete, so its search breaks symmetry
+    (row-lex), which keeps every verdict.  Raises RamseyUndecidedError
+    when n_max is too small, and lets SearchBudgetExceeded bubble up; the
+    node and time budgets apply to each host separately.
     """
     start = max(targets.sizes)
     for n in range(start, n_max + 1):
@@ -530,7 +521,6 @@ def ramsey_number(
             targets,
             max_nodes=max_nodes,
             max_seconds=max_seconds,
-            row_lex=True,
         )
         if result.verdict == "arrows":
             return n
@@ -560,7 +550,6 @@ def base_coloring_search(
         targets,
         max_nodes=max_nodes,
         max_seconds=max_seconds,
-        row_lex=True,
     )
     if result.verdict == "arrows":
         raise NoGoodColoringError(

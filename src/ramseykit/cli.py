@@ -312,10 +312,20 @@ def _cmd_experiment(args) -> int:
     return _report(args, payload, text, json_path=args.json)
 
 
+def _budget(kind, name):
+    """argparse type: a `kind` refused when negative, before any work."""
+    def parse(text):
+        if (value := kind(text)) < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
 def _add_budget_flags(sub) -> None:
-    sub.add_argument("--max-nodes", type=int, default=None,
+    sub.add_argument("--max-nodes", type=_budget(int, "max_nodes"), default=None,
                      help="node budget for the search (default: unlimited)")
-    sub.add_argument("--max-seconds", type=float, default=None,
+    sub.add_argument("--max-seconds", type=_budget(float, "max_seconds"), default=None,
                      help="time budget in seconds (default: unlimited)")
 
 

@@ -229,12 +229,15 @@ def row_lex_broken(n, colors):
     return False
 
 
-def search_nodes(n, sizes, row_lex):
-    """Nodes the arrowing search on K_n should visit: one per color tried
-    for an edge (edges lexicographic, colors ascending), a color rejected
-    when it completes a monochromatic target or, with `row_lex`, when
+def search_nodes(n, sizes, row_lex, edges=None):
+    """The arrowing search on the graph on [n] with `edges` (default: all
+    of K_n's, lexicographic) as (first full coloring or None, nodes
+    visited): one node per color tried for an edge (edges in the order
+    given, colors ascending), a color rejected when it completes a
+    monochromatic target or, with `row_lex` (complete hosts only), when
     row_lex_broken holds; stops at the first full coloring."""
-    edges = list(itertools.combinations(range(1, n + 1), 2))
+    if edges is None:
+        edges = list(itertools.combinations(range(1, n + 1), 2))
     colors = {}
     nodes = 0
 
@@ -261,8 +264,7 @@ def search_nodes(n, sizes, row_lex):
             del colors[e]
         return False
 
-    dfs(0)
-    return nodes
+    return (dict(colors) if dfs(0) else None), nodes
 
 
 def forward_checked_search(n, k, edges, sizes):

@@ -168,9 +168,7 @@ class TestArrowsDecision:
     def test_witness_r3_base_search_pinned(self):
         # the K_8^(3) (4,5) base coloring that `witness_r3` lifts; `.col`
         # files are left out of every golden digest, so it is pinned here
-        res = arrows_decision(
-            complete_hypergraph(8, 3), TargetList(3, (4, 5)), row_lex=True
-        )
+        res = arrows_decision(complete_hypergraph(8, 3), TargetList(3, (4, 5)))
         assert res.verdict == "not_arrows"
         assert res.nodes_explored == 33_989
         text = repr(sorted(res.witness.assignment.items())).encode()
@@ -194,6 +192,11 @@ class TestArrowsDecision:
             assert arrows_decision(big, targets).verdict == "arrows"
 
 
+def _assignment(result):
+    """The witness of an ArrowResult as an edge -> color dict, or None."""
+    return None if result.witness is None else result.witness.assignment
+
+
 def _agrees_with_oracles(G, sizes, *, lex_first):
     """Verdict, witness and node count of the r >= 3 search equal the
     brute-force forward-checked search's; with `lex_first`, the witness is
@@ -201,7 +204,7 @@ def _agrees_with_oracles(G, sizes, *, lex_first):
     result = arrows_decision(G, TargetList(G.k, sizes))
     coloring, nodes = forward_checked_search(G.n, G.k, G.edges, sizes)
     assert result.verdict == ("arrows" if coloring is None else "not_arrows")
-    assert (None if result.witness is None else result.witness.assignment) == coloring
+    assert _assignment(result) == coloring
     assert result.nodes_explored == nodes
     if lex_first:
         assert coloring == lex_first_good_coloring(G.n, G.k, G.edges, sizes)
@@ -278,14 +281,12 @@ class TestRowLexSymmetryBreaking:
 
     @pytest.mark.parametrize("sizes,n", _ROW_LEX_CASES)
     def test_verdict_matches_literal_search(self, sizes, n):
-        G = complete_hypergraph(n, 2)
-        targets = TargetList(2, sizes)
-        with_rule = arrows_decision(G, targets, row_lex=True)
-        literal = arrows_decision(G, targets)
-        assert with_rule.verdict == literal.verdict
+        result = arrows_decision(complete_hypergraph(n, 2), TargetList(2, sizes))
+        literal, literal_nodes = search_nodes(n, sizes, False)
+        assert result.verdict == ("arrows" if literal is None else "not_arrows")
         # the literal search's first witness is the least of its class
-        assert with_rule.witness == literal.witness
-        assert with_rule.nodes_explored <= literal.nodes_explored
+        assert _assignment(result) == literal
+        assert result.nodes_explored <= literal_nodes
 
     @pytest.mark.parametrize("sizes", [(3, 3), (3, 4), (4, 4), (3, 3, 3)])
     def test_node_counts_match_the_full_row_check(self, sizes):
@@ -294,16 +295,16 @@ class TestRowLexSymmetryBreaking:
         # every row pair over the partial coloring prunes
         targets = TargetList(2, sizes)
         for n in range(2, 9 if len(sizes) == 2 else 8):
-            G = complete_hypergraph(n, 2)
-            for row_lex in (False, True):
-                result = arrows_decision(G, targets, row_lex=row_lex)
-                assert result.nodes_explored == search_nodes(n, sizes, row_lex), (n, row_lex)
+            result = arrows_decision(complete_hypergraph(n, 2), targets)
+            assert (_assignment(result), result.nodes_explored) == search_nodes(
+                n, sizes, True
+            ), n
 
     @pytest.mark.parametrize("sizes,n", _ROW_LEX_CASES)
     def test_witness_is_good_and_row_lex(self, sizes, n):
         G = complete_hypergraph(n, 2)
         targets = TargetList(2, sizes)
-        result = arrows_decision(G, targets, row_lex=True)
+        result = arrows_decision(G, targets)
         if result.verdict == "not_arrows":
             assert verify_good_coloring(G, result.witness, targets)
             assert row_lex_ordered(n, result.witness.assignment)
@@ -315,37 +316,32 @@ class TestRowLexSymmetryBreaking:
         for n in range(2, 7):
             G = complete_hypergraph(n, 2)
             sat = dpll_satisfiable(*parse_dimacs(export_cnf(G, targets)))
-            verdict = arrows_decision(G, targets, row_lex=True).verdict
+            verdict = arrows_decision(G, targets).verdict
             assert (verdict == "not_arrows") == sat, n
 
-    def test_rejects_incomplete_host(self):
-        missing_edge = UniformHypergraph(
-            5, 2, [e for e in complete_hypergraph(5, 2).edges if e != (2, 4)]
-        )
-        with pytest.raises(ValueError, match="complete host"):
-            arrows_decision(missing_edge, TargetList(2, (3, 3)), row_lex=True)
-        with pytest.raises(ValueError, match="complete host"):
-            arrows_decision(UniformHypergraph(5, 2, []), TargetList(2, (3, 3)), row_lex=True)
-        minus_one = UniformHypergraph(
-            5, 3, [e for e in complete_hypergraph(5, 3).edges if e != (1, 2, 3)]
-        )
-        with pytest.raises(ValueError, match="complete host"):
-            arrows_decision(minus_one, TargetList(3, (4, 4)), row_lex=True)
-
-    def test_no_op_for_three_uniform(self):
-        G = complete_hypergraph(6, 3)
-        targets = TargetList(3, (4, 4))
-        with_rule = arrows_decision(G, targets, row_lex=True)
-        literal = arrows_decision(G, targets)
-        assert with_rule.verdict == literal.verdict
-        assert with_rule.nodes_explored == literal.nodes_explored
-        assert with_rule.witness == literal.witness
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
+    def test_incomplete_hosts_run_the_literal_search(self, sizes):
+        # the rule relabels the host, so it is off on every host that is
+        # not complete: K_n plus an isolated vertex has K_n's edges in the
+        # same order and visits exactly the literal search's nodes
+        targets = TargetList(2, sizes)
+        for n in range(3, 7):
+            edges = complete_hypergraph(n, 2).edges
+            padded = arrows_decision(UniformHypergraph(n + 1, 2, edges), targets)
+            assert (_assignment(padded), padded.nodes_explored) == search_nodes(
+                n, sizes, False
+            ), n
+            for removed in edges:
+                kept = [e for e in edges if e != removed]
+                result = arrows_decision(UniformHypergraph(n, 2, kept), targets)
+                assert (_assignment(result), result.nodes_explored) == search_nodes(
+                    n, sizes, False, kept
+                ), (n, removed)
 
     def test_k9_34_exhausts_within_20000_nodes(self):
         # the literal search visits 29,196,464 nodes here
         result = arrows_decision(
-            complete_hypergraph(9, 2), TargetList(2, (3, 4)), row_lex=True,
-            max_nodes=20_000,
+            complete_hypergraph(9, 2), TargetList(2, (3, 4)), max_nodes=20_000
         )
         assert result.verdict == "arrows"
 

@@ -191,6 +191,27 @@ class TestCheapChecksFirst:
         assert code == 64
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (WITNESS + ["--p", "n^-4", "--seed", "0", "--out", "x", "--max-nodes", "-1"],
+         "max_nodes must be >= 0, got -1"),
+        (["arrow", "one.uhg", "--targets", "3,3", "--cnf", "x.cnf", "--max-seconds", "-2"],
+         "max_seconds must be >= 0, got -2.0"),
+    ], ids=["witness", "arrow_cnf"])
+    def test_negative_budget_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                             argv, message):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("expensive work ran before the budget check")
+
+        for target in ("ramseykit.cli.base_coloring_search", "ramseykit.cli.sample_hypergraph",
+                       "ramseykit.cli.arrows_decision"):
+            monkeypatch.setattr(target, refuse)
+        write_hypergraph(complete_hypergraph(3, 2), tmp_path / "one.uhg")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert message in err
+        assert [f.name for f in tmp_path.iterdir()] == ["one.uhg"]  # nothing written
+
 
 class TestArrowVerb:
     def _write(self, tmp_path, n):
@@ -227,6 +248,14 @@ class TestArrowVerb:
         text = cnf.read_text()
         assert text.splitlines()[0].startswith("c ")
         assert "p cnf 30 70" in text
+
+    def test_complete_host_breaks_symmetry(self, capsys, tmp_path):
+        # row-lex pruning exhausts K_9 at (3,4) in 8,844 nodes; the
+        # literal search needs 29,196,464
+        k9 = self._write(tmp_path, 9)
+        code, out, _ = run(capsys, "arrow", k9, "--targets", "3,4", "--max-nodes", "20000")
+        assert code == 0
+        assert out == "arrows (nodes explored: 8844)\n"
 
     def test_budget_exit_2(self, capsys, tmp_path):
         k6 = self._write(tmp_path, 6)
