@@ -241,46 +241,49 @@ def clique_density(t: int, r: int) -> Fraction:
 def enumerate_cliques(G: UniformHypergraph, t: int) -> list[tuple[int, ...]]:
     """All t-vertex sets W such that every r-subset of W is an edge of G.
 
-    Results are ascending tuples in lexicographic order.  For t >= r the
-    first r vertices of a clique are an edge, and every later vertex is
-    larger and shares an edge with each of them, so each edge e of G
-    seeds the candidates that lie in above[u] for every u in e, where
-    above[u] holds the larger vertices sharing an edge with u.  A
-    candidate v joins when S + (v,) is an edge for every (r-1)-subset S
-    of the clique, and the candidates left narrow to above[v].  For r = 2
-    that test is skipped: a candidate lies in above[u] for every clique
-    vertex u, and for r = 2 sharing an edge with u means (u, v) is one.
-    The first r vertices fix a clique's seed, seeds run in lex order and
-    each grows by ascending candidates, so the output is in lex order.
+    Results are ascending tuples in lexicographic order.  The search runs
+    on one index, link[S] = {v : S + (v,) is an edge} for each (r-1)-set
+    S, whose members all exceed max(S).  Call C a clique when all its
+    r-subsets are edges (every (r-1)-set is one), and X(C) the v > max(C)
+    for which C + (v,) is a clique, so X(P) = link[P] when |P| = r - 1.
+    - Exact narrowing: for v < u in X(C), the r-subsets of C + (v, u)
+      that lie in neither C + (v,) nor C + (u,) are the S + (v, u) for
+      the (r-2)-subsets S of C.  So X(C + (v,)) is the part of X(C) past
+      v that lies in link[S + (v,)] for every such S.  Every candidate
+      left extends the clique, so at size t - 1 each one is appended.
+    - Lex order: a t-clique's first r - 1 vertices P are its seed, the
+      prefixes of the sorted edges (so `link`'s keys) come in lex order,
+      and each seed grows by ascending candidates.
+    - For r = 2, link[(u,)] is the set of neighbours above u, and adding
+      v narrows by link[(v,)] alone (S is the empty tuple).
     """
     r = G.k
     if t < r:
         raise ValueError(f"clique size t={t} below uniformity r={r}")
-    above: dict[int, set[int]] = defaultdict(set)
+    link: dict[Edge, set[int]] = defaultdict(set)
     for e in G.edges:
-        for i in range(r - 1):
-            above[e[i]].update(e[i + 1 :])
+        link[e[:-1]].add(e[-1])
     results: list[Edge] = []
-    for e in G.edges:
-        cands = sorted(set.intersection(*(above[u] for u in e)))
-        _grow(e, cands, t, r, G.edge_set, above, results)
+    for P, X in link.items():
+        _grow(P, sorted(X), t, r, link, results)
     return results
 
 
-def _grow(clique: Edge, cands: list[int], t: int, r: int, edge_set: frozenset[Edge],
-          above: Mapping[int, set[int]], out: list[Edge]) -> None:
+def _grow(clique: Edge, cands: list[int], t: int, r: int,
+          link: Mapping[Edge, set[int]], out: list[Edge]) -> None:
     # not a closure: a recursive closure is a reference cycle, which keeps
-    # `above` and `out` alive until the cyclic collector runs
-    if len(clique) == t:
-        out.append(clique)
+    # `link` and `out` alive until the cyclic collector runs
+    if len(clique) == t - 1:
+        out.extend([clique + (v,) for v in cands])
         return
     for i, v in enumerate(cands):
         if len(cands) - i < t - len(clique):
             break
-        if r == 2 or all(S + (v,) in edge_set for S in itertools.combinations(clique, r - 1)):
-            adj = above[v]
-            _grow(clique + (v,), [u for u in cands[i + 1 :] if u in adj], t, r,
-                  edge_set, above, out)
+        rest = cands[i + 1 :]
+        for S in itertools.combinations(clique, r - 2):
+            adj = link.get(S + (v,), ())
+            rest = [u for u in rest if u in adj]
+        _grow(clique + (v,), rest, t, r, link, out)
 
 
 def count_mono_clique_copies(coloring: EdgeColoring, color: int, t: int) -> int:

@@ -27,7 +27,7 @@ from ramseykit import (
     sample_hypergraph,
     trial_seed,
 )
-from ramseykit import construct
+from ramseykit import arrows, construct
 from ramseykit.construct import _comb_table, _int_nth_root, _unrank_subset
 
 from oracles import naive_conformality, naive_linearity_pairs, walk_unrank_subset
@@ -320,6 +320,41 @@ class TestClean:
         assert {name: set(callers.get(name, ())) for name in names} == {
             name: {"conformality_violations"} for name in names
         }
+
+    def test_reverify_and_witness_check_reach_the_timed_kernel(self, monkeypatch):
+        """perfbench/launch.py times calls through module attributes:
+        `construct.clean.reverify_s` is the is_conformal span under clean,
+        and `hypergraph.enumerate_cliques.in_verify_s` the clique spans
+        under verify_good_coloring.  Both need the kernel reached through
+        `construct.enumerate_cliques` and `arrows.enumerate_cliques`."""
+        chains: dict[str, list[tuple[str, ...]]] = {"construct": [], "arrows": []}
+
+        def spied(module):
+            fn = module.enumerate_cliques
+
+            def wrapper(*args, **kwargs):
+                frame, names = sys._getframe(1), []
+                while frame is not None:
+                    names.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                chains[module.__name__.rsplit(".", 1)[1]].append(tuple(names))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (construct, arrows):
+            monkeypatch.setattr(module, "enumerate_cliques", spied(module))
+        clean(UniformHypergraph(6, 3, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]), 2, 3)
+        host = complete_hypergraph(5, 2)
+        red = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
+        coloring = EdgeColoring(host, 2, {e: 1 if e in red else 2 for e in host.edges})
+        assert arrows.verify_good_coloring(host, coloring, arrows.TargetList(2, (3, 3)))
+        reverify = [names for names in chains["construct"] if "is_conformal" in names]
+        assert reverify and all(
+            names[names.index("is_conformal") + 1] == "clean" for names in reverify
+        )
+        assert chains["arrows"] and all(
+            names[0] == "verify_good_coloring" for names in chains["arrows"]
+        )
 
 
 class TestLift:

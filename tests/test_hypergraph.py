@@ -188,6 +188,26 @@ class TestCliques:
         G = UniformHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 6)])
         assert enumerate_cliques(G, 4) == []
 
+    def test_candidate_must_pass_every_link_of_a_later_vertex(self):
+        # (1, 2, 3, 4, 5) and (1, 2, 3, 4, 6) are cliques, so 6 stays a
+        # candidate until 5 joins (1, 2, 3, 4); then it must drop, because
+        # of the six edges S + (5, 6) only (3, 4, 5, 6) is missing
+        K5 = set(itertools.combinations(range(1, 6), 4))
+        K5_6 = set(itertools.combinations((1, 2, 3, 4, 6), 4))
+        fan = {S + (5, 6) for S in itertools.combinations(range(1, 5), 2)} - {(3, 4, 5, 6)}
+        G = UniformHypergraph(6, 4, K5 | K5_6 | fan)
+        assert enumerate_cliques(G, 5) == [
+            (1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6), (1, 2, 4, 5, 6)
+        ]
+        assert enumerate_cliques(G, 6) == []
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_complete_hypergraph_yields_every_t_set(self, r):
+        for n in range(r, 10):
+            G = complete_hypergraph(n, r)
+            for t in range(r, n + 1):
+                assert enumerate_cliques(G, t) == list(itertools.combinations(range(1, n + 1), t))
+
     def test_t_below_r_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cliques(complete_hypergraph(4, 3), 2)
@@ -197,6 +217,15 @@ class TestCliques:
     def test_matches_naive_scan(self, G, data):
         t = data.draw(st.integers(G.k, min(G.n, G.k + 3)))
         assert enumerate_cliques(G, t) == naive_cliques(G.n, G.k, G.edges, t)
+
+    @given(hypergraphs(min_k=2, max_k=6, max_n=11), st.data())
+    @settings(max_examples=80)
+    def test_matches_naive_scan_on_primal_graphs(self, H, data):
+        # the shape every caller enumerates: the primal r-graph of an s-graph
+        r = data.draw(st.integers(2, min(4, H.k)))
+        G = primal_r_graph(H, r)
+        t = data.draw(st.integers(r, min(H.n, r + 4)))
+        assert enumerate_cliques(G, t) == naive_cliques(G.n, r, G.edges, t)
 
     def test_matches_naive_scan_at_ten_vertices(self):
         import random
