@@ -89,8 +89,12 @@ colors of (1, ..., r-1, v) non-decreasing in v, did not change the node
 count of the K_8^(3) (4,5) base search (measured before forward
 checking), so the r >= 3 search breaks no symmetry.
 
-Instances beyond the internal search can be exported as DIMACS CNF:
-the formula is satisfiable exactly when a good coloring exists.
+The search and the DIMACS CNF export read one instance of (G, targets).
+Edge j is G.edges[j] (0-based, lex order), and the search's decision
+"edge j gets color c" is CNF variable j*L + c, for L colors.  The CNF
+lists every at-least-one clause, then every at-most-one clause, then one
+clause per target clique, colors ascending and cliques in lex order; it
+is satisfiable exactly when a good coloring exists.
 """
 
 from __future__ import annotations
@@ -216,20 +220,37 @@ def verify_good_coloring(
     return ColoringCheck(True)
 
 
-def _row_lex_pairs(G) -> list[list[tuple[int, int]]]:
-    """Per edge index of a complete graph, the row-lex comparisons the
-    edge settles: (bit 1 << i of the row pair (i, i+1), index of row i's
-    entry in the same column).  See the module docstring."""
+class _Instance:
+    """(G, targets) as the search and the CNF read them: `cliques[c-1]`
+    lists color c's target cliques in lex order, each as the ids of its
+    r-subsets (ascending); `row_pairs` (complete r = 2 hosts only, else
+    None) gives per edge the row-lex comparisons it settles, as (bit
+    1 << i of rows (i, i+1), id of row i's entry in that column).  A plain
+    class: a dataclass would add about a millisecond to every import."""
+
+    __slots__ = ("G", "targets", "cliques", "row_pairs")
+
+    def __init__(self, G, targets, cliques, row_pairs):
+        self.G, self.targets, self.cliques, self.row_pairs = G, targets, cliques, row_pairs
+
+
+def _instance(G, targets) -> _Instance:
+    if G.k != targets.r:
+        raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
     index = {e: j for j, e in enumerate(G.edges)}
-    out = []
-    for u, v in G.edges:
-        pairs = []
-        if u > 1:  # rows u-1, u at column v
-            pairs.append((1 << (u - 1), index[(u - 1, v)]))
-        if v > u + 1:  # rows v-1, v at column u
-            pairs.append((1 << (v - 1), index[(u, v - 1)]))
-        out.append(pairs)
-    return out
+    of_size = {t: [[index[B] for B in itertools.combinations(W, G.k)]
+                   for W in enumerate_cliques(G, t)] for t in set(targets.sizes)}
+    row_pairs = None
+    if G.k == 2 and len(index) == comb(G.n, 2):
+        row_pairs = []
+        for u, v in G.edges:
+            pairs = []
+            if u > 1:  # rows u-1, u at column v
+                pairs.append((1 << (u - 1), index[(u - 1, v)]))
+            if v > u + 1:  # rows v-1, v at column u
+                pairs.append((1 << (v - 1), index[(u, v - 1)]))
+            row_pairs.append(pairs)
+    return _Instance(G, targets, [of_size[t] for t in targets.sizes], row_pairs)
 
 
 def _row_lex_step(pairs, tied, colors, color) -> int:
@@ -261,38 +282,38 @@ def _grows_clique(a: list[int], mask: int, size: int) -> bool:
     return False
 
 
-def _search(G, targets, max_nodes, max_seconds, started):
-    """The DFS over edge colors; (colors, nodes), colors None when the
-    tree is exhausted.  `tried[i]` is edge i's current color: committed
-    for i < j, the last one tried at j, 0 beyond.  The per-color state is
-    picked by r: adjacency bitmasks (and row-lex on K_n) when r = 2,
-    counters over the target cliques with forward checking when r >= 3
-    (module docstring)."""
+def _search(inst, max_nodes, max_seconds, started):
+    """The DFS over edge colors of an instance; (colors, nodes), colors
+    None when the tree is exhausted.  `tried[i]` is edge i's current
+    color: committed for i < j, the last one tried at j, 0 beyond.  The
+    per-color state is picked by r: adjacency bitmasks (and row-lex when
+    the instance has row pairs) when r = 2, counters over the target
+    cliques with forward checking when r >= 3 (module docstring)."""
+    G = inst.G
     edges = G.edges
     m = len(edges)
-    ell = targets.num_colors
+    ell = inst.targets.num_colors
     graph = G.k == 2
     if graph:
         # per color: how many further vertices complete the target clique
         # once an edge is laid down (target size minus the edge endpoints)
-        grow = [t - 2 for t in targets.sizes]
+        grow = [t - 2 for t in inst.targets.sizes]
         adj = [[0] * (G.n + 1) for _ in range(ell)]
-        row_lex = m == comb(G.n, 2)
-        row_pairs = _row_lex_pairs(G) if row_lex else None
+        row_pairs = inst.row_pairs
+        row_lex = row_pairs is not None
         tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
         tied_before = [0] * m
     else:
-        cliques_of_size = _target_clique_edges(G, targets)
         per_color = []
-        for t in targets.sizes:
-            cliques = cliques_of_size[t]
+        for cliques in inst.cliques:
             through: list[list[int]] = [[] for _ in range(m)]
             for cid, eids in enumerate(cliques):
                 for eidx in eids:
                     through[eidx].append(cid)
-            # eids[-1] is the clique's last edge in search order
-            last = [eids[-1] for eids in cliques]
-            per_color.append((through, [0] * len(cliques), last, comb(t, G.k) - 1))
+            # counts[cid] reaches 0 when all but one edge of the clique have
+            # the color; eids[-1] is the clique's last edge in search order
+            counts = [1 - len(eids) for eids in cliques]
+            per_color.append((through, counts, [eids[-1] for eids in cliques]))
         # forbid[e][c-1]: c-cliques whose only edge not colored c is the
         # unassigned edge e; blocked[e]: colors c with forbid[e][c-1] > 0
         forbid = [[0] * ell for _ in range(m)]
@@ -358,12 +379,12 @@ def _search(G, targets, max_nodes, max_seconds, started):
             a[v] |= 1 << u
         else:
             ci = color - 1
-            through, counts, last, almost = per_color[ci]
+            through, counts, last = per_color[ci]
             wiped = False
             for cid in through[j]:
                 grown = counts[cid] + 1
                 counts[cid] = grown
-                if grown == almost:
+                if not grown:
                     e = last[cid]
                     # e == j: another edge of the clique has another color
                     if e > j:
@@ -384,30 +405,16 @@ def _search(G, targets, max_nodes, max_seconds, started):
 def _unlay(per_color, forbid, blocked, j, color) -> None:
     """Undo the r >= 3 search's counter updates for edge j in `color`."""
     ci = color - 1
-    through, counts, last, almost = per_color[ci]
+    through, counts, last = per_color[ci]
     for cid in through[j]:
         grown = counts[cid]
         e = last[cid]
-        if grown == almost and e > j:
+        if not grown and e > j:
             row = forbid[e]
             row[ci] -= 1
             if not row[ci]:
                 blocked[e] -= 1
         counts[cid] = grown - 1
-
-
-def _target_clique_edges(G, targets) -> dict[int, list[list[int]]]:
-    """Per target size t, the t-cliques of G in lexicographic order, each
-    given as the indices into G.edges of its r-subsets (in combination
-    order)."""
-    edge_index = {e: i for i, e in enumerate(G.edges)}
-    return {
-        t: [
-            [edge_index[B] for B in itertools.combinations(W, G.k)]
-            for W in enumerate_cliques(G, t)
-        ]
-        for t in set(targets.sizes)
-    }
 
 
 def arrows_decision(
@@ -430,8 +437,7 @@ def arrows_decision(
     are out of lex order (module docstring): verdict and witness are
     those of the literal search, only the node count drops.
     """
-    if G.k != targets.r:
-        raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
+    inst = _instance(G, targets)
     for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if budget is not None and budget < 0:
             raise ValueError(f"{name} must be >= 0, got {budget}")
@@ -439,7 +445,7 @@ def arrows_decision(
     if not G.edges:
         colors, nodes = [], 0
     else:
-        colors, nodes = _search(G, targets, max_nodes, max_seconds, started)
+        colors, nodes = _search(inst, max_nodes, max_seconds, started)
     if colors is None:
         return ArrowResult("arrows", None, nodes)
     witness = EdgeColoring(G, targets.num_colors, dict(zip(G.edges, colors)))
@@ -455,19 +461,16 @@ def arrows_decision(
 def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
     """DIMACS CNF satisfiable exactly when G does NOT arrow the targets.
 
-    Variable (edge e, color i) is true when e gets color i; clauses force
-    at least one and at most one color per edge, and forbid every fully
-    monochromatic target clique.  A comment block maps variables back to
-    (edge, color) pairs.
+    Variables and clause order are the module docstring's: one color per
+    edge, and no fully monochromatic target clique.  A comment block maps
+    variables back to (edge, color) pairs.
     """
-    if G.k != targets.r:
-        raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
+    inst = _instance(G, targets)
     ell = targets.num_colors
     if ell < 2:
         raise ValueError("CNF export needs at least 2 colors")
     edges = G.edges
     m = len(edges)
-    cliques_of_size = _target_clique_edges(G, targets)
 
     def var(eidx: int, color: int) -> int:
         return eidx * ell + color
@@ -478,8 +481,8 @@ def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
     for eidx in range(m):
         for i, j in itertools.combinations(range(1, ell + 1), 2):
             clauses.append([-var(eidx, i), -var(eidx, j)])
-    for color, size in enumerate(targets.sizes, start=1):
-        for eids in cliques_of_size[size]:
+    for color, cliques in enumerate(inst.cliques, start=1):
+        for eids in cliques:
             clauses.append([-var(eidx, color) for eidx in eids])
     lines = [
         f"c good-coloring instance: {m} edges, {ell} colors, "

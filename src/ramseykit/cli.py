@@ -52,20 +52,16 @@ S_AUTO_MAX_VERTICES = 16
 S_AUTO_MAX_NODES = 200_000
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 64
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_targets(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse target list {text!r}, expected e.g. 3,3") from None
+        raise ValueError(f"cannot parse target list {text!r}, expected e.g. 3,3") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -87,11 +83,11 @@ def _report(args, payload: dict, text: str, json_path: str | None = None,
 
 def _cmd_density(args) -> int:
     if (args.file is None) == (args.clique is None):
-        raise UsageError("give exactly one of <file> or --clique t,r")
+        raise ValueError("give exactly one of <file> or --clique t,r")
     if args.clique is not None:
         parts = _parse_targets(args.clique)
         if len(parts) != 2:
-            raise UsageError("--clique expects 't,r'")
+            raise ValueError("--clique expects 't,r'")
         t, r = parts
         value = clique_density(t, r)
         witness = tuple(range(1, t + 1))
@@ -220,7 +216,7 @@ def _cmd_arrow(args) -> int:
         cnf_path = args.cnf
     if args.skip_decision:
         if cnf_path is None:
-            raise UsageError("--skip-decision without --cnf does nothing")
+            raise ValueError("--skip-decision without --cnf does nothing")
         print(f"wrote {cnf_path}; decision skipped")
         return EXIT_OK
     result = arrows_decision(
@@ -421,14 +417,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-# exception -> (stderr prefix, exit code); FormatError and NotLinearError
-# are ValueErrors.  Anything else propagates.
+# exception -> (stderr prefix, exit code); usage errors, FormatError and
+# NotLinearError are ValueErrors.  Anything else propagates.
 _ERRORS = {
-    UsageError: ("usage error", EXIT_USAGE),
     SearchBudgetExceeded: ("inconclusive", EXIT_INCONCLUSIVE),
     RamseyUndecidedError: ("inconclusive", EXIT_INCONCLUSIVE),
     InternalContradictionError: ("internal contradiction", EXIT_CONTRADICTION),
-    NoGoodColoringError: ("usage error", EXIT_USAGE),
+    NoGoodColoringError: ("error", EXIT_USAGE),
     ValueError: ("error", EXIT_USAGE),
     OSError: ("error", EXIT_USAGE),
 }

@@ -355,7 +355,7 @@ class TestWitnessVerification:
         # a search that colors every edge 1 would hand back a red triangle
         monkeypatch.setattr(
             arrows, "_search",
-            lambda G, *_args: ([1] * G.num_edges, G.num_edges),
+            lambda inst, *_args: ([1] * inst.G.num_edges, inst.G.num_edges),
         )
         with pytest.raises(InternalContradictionError, match=r"\(1, 2, 3\) in color 1"):
             arrows_decision(complete_hypergraph(4, 2), TargetList(2, (3, 3)))
@@ -363,13 +363,78 @@ class TestWitnessVerification:
     def test_bad_three_uniform_witness_raises(self, monkeypatch):
         monkeypatch.setattr(
             arrows, "_search",
-            lambda G, *_args: ([2] * G.num_edges, G.num_edges),
+            lambda inst, *_args: ([2] * inst.G.num_edges, inst.G.num_edges),
         )
         with pytest.raises(InternalContradictionError, match="in color 2"):
             arrows_decision(complete_hypergraph(5, 3), TargetList(3, (4, 4)))
 
 
+def _cnf_matches_the_oracles(G, sizes):
+    """export_cnf on G has m*L variables, edge j (0-based, lex order) in
+    color c being variable j*L + c; its clauses are every at-least-one,
+    then every at-most-one, then one per (color, `naive_cliques` clique),
+    colors ascending; and it is satisfiable exactly when the search finds
+    a good coloring."""
+    targets, ell, edges = TargetList(G.k, sizes), len(sizes), sorted(G.edges)
+    num_vars, clauses = parse_dimacs(export_cnf(G, targets))
+    var = {(e, c): j * ell + c for j, e in enumerate(edges) for c in range(1, ell + 1)}
+    pairs = list(itertools.combinations(range(1, ell + 1), 2))
+    expected = [[var[e, c] for c in range(1, ell + 1)] for e in edges]
+    expected += [[-var[e, a], -var[e, b]] for e in edges for a, b in pairs]
+    expected += [
+        [-var[B, c] for B in itertools.combinations(W, G.k)]
+        for c, t in enumerate(sizes, start=1)
+        for W in naive_cliques(G.n, G.k, G.edges, t)
+    ]
+    assert num_vars == G.num_edges * ell
+    assert clauses == expected
+    verdict = arrows_decision(G, targets).verdict
+    assert dpll_satisfiable(num_vars, clauses) == (verdict == "not_arrows")
+
+
+def _drop(G, *removed):
+    return UniformHypergraph(G.n, G.k, [e for e in G.edges if e not in removed])
+
+
 class TestExportCnf:
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("sizes", [(4, 4), (4, 5)])
+    def test_three_uniform_complete_hosts(self, n, sizes):
+        _cnf_matches_the_oracles(complete_hypergraph(n, 3), sizes)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_three_uniform_random_hosts(self, data):
+        n = data.draw(st.integers(4, 6))
+        edges = data.draw(st.lists(st.sampled_from(complete_hypergraph(n, 3).edges), unique=True))
+        ell = data.draw(st.integers(2, 3))
+        sizes = tuple(data.draw(st.lists(st.integers(4, n), min_size=ell, max_size=ell)))
+        _cnf_matches_the_oracles(UniformHypergraph(n, 3, edges), sizes)
+
+    @pytest.mark.parametrize("G, sizes", [
+        (complete_hypergraph(5, 2), (3, 3)),
+        (complete_hypergraph(8, 2), (3, 4)),
+        (complete_hypergraph(6, 2), (3, 3, 3)),
+        (_drop(complete_hypergraph(6, 2), (1, 2)), (3, 3)),
+        (UniformHypergraph(7, 2, complete_hypergraph(6, 2).edges), (3, 3, 3)),
+        (complete_hypergraph(6, 3), (4, 4)),
+        (complete_hypergraph(7, 3), (4, 5)),
+        (_drop(complete_hypergraph(6, 3), (1, 2, 3), (2, 4, 6)), (4, 4, 5)),
+    ], ids=["k5_row_lex", "k8_row_lex", "k6_three_colors_row_lex", "k6_minus_an_edge",
+            "k6_plus_a_vertex", "k6_r3", "k7_r3", "k6_r3_minus_two_edges"])
+    def test_search_witness_is_a_model(self, G, sizes):
+        """The search's decision "edge j gets color c" is CNF variable
+        j*L + c: its witness, read that way, satisfies every clause."""
+        targets, ell = TargetList(G.k, sizes), len(sizes)
+        result = arrows_decision(G, targets)
+        assert result.verdict == "not_arrows"
+        colors = [result.witness.assignment[e] for e in G.edges]
+        true = {j * ell + c for j, c in enumerate(colors)}
+        num_vars, clauses = parse_dimacs(export_cnf(G, targets))
+        assert num_vars == len(colors) * ell
+        for clause in clauses:
+            assert any((lit > 0) == (abs(lit) in true) for lit in clause), clause
+
     def test_k5_shape_and_satisfiability(self):
         text = export_cnf(complete_hypergraph(5, 2), TargetList(2, (3, 3)))
         num_vars, clauses = parse_dimacs(text)

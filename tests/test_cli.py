@@ -145,7 +145,7 @@ class TestWitnessVerb:
             "--s", "6", "--p", "n^-4", "--seed", "5", "--out", str(tmp_path / "w"),
         )
         assert code == 64
-        assert "usage error" in err
+        assert err.startswith("error: every 2-coloring")
 
     def test_zero_probability_vacuous_certificate(self, capsys, tmp_path, schema):
         prefix = tmp_path / "w0"
@@ -302,7 +302,7 @@ class TestInternalContradictionExit:
 
         monkeypatch.setattr(
             arrows, "_search",
-            lambda G, *_args: ([1] * G.num_edges, G.num_edges),
+            lambda inst, *_args: ([1] * inst.G.num_edges, inst.G.num_edges),
         )
         k4 = tmp_path / "k4.uhg"
         write_hypergraph(complete_hypergraph(4, 2), k4)

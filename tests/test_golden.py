@@ -112,7 +112,7 @@ CASES = {
     ),
     "ramsey_33": (_RAMSEY, (), 0, ""),
     "ramsey_33_json": (_RAMSEY + _JSON, (), 0, ""),
-    "usage_error": (["ramsey", "--targets", "3,3", "--nmax", "7"], (), 64, "usage error"),
+    "usage_error": (["ramsey", "--targets", "3,3", "--nmax", "7"], (), 64, "error"),
     "budget_overrun": (
         ["arrow", "k6.uhg", "--targets", "3,3", "--max-nodes", "4"], (), 2, "inconclusive",
     ),
