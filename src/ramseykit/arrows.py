@@ -16,13 +16,15 @@ order is fixed.
 
 One node loop serves every r and picks its per-color state by r.  For
 r = 2 it keeps one adjacency bitmask per color and vertex and asks
-whether the common neighbourhood of the new edge holds a clique; for
-r >= 3 it keeps, per color, how many edges of each precomputed target
-clique are laid down.  The choice is an inline `if` in the color step,
-the forward step and the backtrack, never a per-node callback: a
-callback skeleton exhausted the literal K_9 (3,4) search in 27-31 s
-against 20-22 s, and sending r = 2 through the clique counters took that
-search to 10^6 nodes from 0.74 s to 2.0 s.
+`_grows_clique` whether the common neighbourhood of the new edge holds a
+clique, of any missing size; for r >= 3 it keeps, per color, how many
+edges of each precomputed target clique are laid down.  The choice of r
+is an inline `if` in the color step, the forward step and the backtrack,
+never a per-node callback: a callback skeleton exhausted the literal
+K_9 (3,4) search in 27-31 s against 20-22 s, and sending r = 2 through
+the clique counters took that search to 10^6 nodes from 0.74 s to
+2.0 s.  Inline tests for missing sizes 1 and 2 saved ~8% of the in-process
+R(3,4) search (6.3 ms against 6.8 ms), within a `ramsey` run's spread.
 
 Forward checking (r >= 3).  Color c is forbidden at an unassigned edge e
 when some target c-clique holds e and all its other edges have color c;
@@ -322,7 +324,7 @@ def _search(inst, max_nodes, max_seconds, started):
     tried = [0] * m
     nodes = 0
     j = 0
-    while True:
+    while j < m:
         color = tried[j] + 1
         if not graph:
             while color <= ell and forbid[j][color - 1]:
@@ -353,21 +355,7 @@ def _search(inst, max_nodes, max_seconds, started):
         if graph:
             u, v = edges[j]
             a = adj[color - 1]
-            common = a[u] & a[v]
-            size = grow[color - 1]
-            if size == 1:
-                completes = common != 0
-            elif size == 2:
-                completes = False
-                while common:
-                    low = common & -common
-                    common ^= low
-                    if a[low.bit_length() - 1] & common:
-                        completes = True
-                        break
-            else:
-                completes = _grows_clique(a, common, size)
-            if completes:
+            if _grows_clique(a, a[u] & a[v], grow[color - 1]):
                 continue  # completing a monochromatic clique; try next color
             if row_lex:
                 after = _row_lex_step(row_pairs[j], tied, tried, color)
@@ -398,8 +386,7 @@ def _search(inst, max_nodes, max_seconds, started):
                 _unlay(per_color, forbid, blocked, j, color)
                 continue  # a later edge has every color forbidden; try next color
         j += 1
-        if j == m:
-            return tried, nodes
+    return tried, nodes
 
 
 def _unlay(per_color, forbid, blocked, j, color) -> None:
@@ -441,11 +428,7 @@ def arrows_decision(
     for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if budget is not None and budget < 0:
             raise ValueError(f"{name} must be >= 0, got {budget}")
-    started = time.perf_counter()
-    if not G.edges:
-        colors, nodes = [], 0
-    else:
-        colors, nodes = _search(inst, max_nodes, max_seconds, started)
+    colors, nodes = _search(inst, max_nodes, max_seconds, time.perf_counter())
     if colors is None:
         return ArrowResult("arrows", None, nodes)
     witness = EdgeColoring(G, targets.num_colors, dict(zip(G.edges, colors)))

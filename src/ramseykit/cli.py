@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import astuple
+from fractions import Fraction
 
 from .arrows import (
     NoGoodColoringError,
@@ -87,7 +88,7 @@ def _cmd_density(args) -> int:
     if args.clique is not None:
         parts = _parse_targets(args.clique)
         if len(parts) != 2:
-            raise ValueError("--clique expects 't,r'")
+            raise ValueError(f"--clique expects 't,r', got {args.clique!r}")
         t, r = parts
         value = clique_density(t, r)
         witness = tuple(range(1, t + 1))
@@ -113,17 +114,18 @@ def _cmd_construct(args) -> int:
     _check_srt(args.s, args.r, args.t)
     H = sample_hypergraph(args.n, args.s, p, args.seed)
     report = clean(H, args.r, args.t)
+    deleted_fraction = Fraction(len(report.deleted), H.num_edges or 1)
     uhg_path = f"{args.out}.uhg"
     write_hypergraph(report.result, uhg_path)
     payload = {
         "kind": "construct",
         "n": report.result.n,
         "s": report.result.k,
-        "r": report.r,
-        "t": report.t,
+        "r": args.r,
+        "t": args.t,
         "p": str(p),
         "seed": args.seed,
-        "input_edges": report.input_edges,
+        "input_edges": H.num_edges,
         "num_linearity_violations": report.num_linearity_violations,
         "num_cover_violations": report.num_cover_violations,
         "linearity_violations": [
@@ -135,14 +137,14 @@ def _cmd_construct(args) -> int:
         ],
         "deleted": [list(e) for e in report.deleted],
         "result_edges": report.result.num_edges,
-        "deleted_fraction": str(report.deleted_fraction),
+        "deleted_fraction": str(deleted_fraction),
         "result_file": uhg_path,
     }
     text = (
-        f"sampled {report.input_edges} edges, deleted {len(report.deleted)} "
+        f"sampled {H.num_edges} edges, deleted {len(report.deleted)} "
         f"({report.num_linearity_violations} overlap pairs, "
         f"{report.num_cover_violations} cover violations), "
-        f"deleted fraction {report.deleted_fraction}\n"
+        f"deleted fraction {deleted_fraction}\n"
         f"result: {report.result.num_edges} edges -> {uhg_path}\n"
     )
     return _report(args, payload, text, json_path=f"{args.out}.json")
@@ -193,7 +195,7 @@ def _cmd_witness(args) -> int:
         "targets": list(targets.sizes),
         "p": str(p),
         "seed": args.seed,
-        "input_edges": report.input_edges,
+        "input_edges": H.num_edges,
         "deleted": len(report.deleted),
         "h0_edges": report.result.num_edges,
         "primal_edges": primal.num_edges,
@@ -210,14 +212,12 @@ def _cmd_witness(args) -> int:
 def _cmd_arrow(args) -> int:
     G = read_hypergraph(args.file)
     targets = TargetList(G.k, _parse_targets(args.targets))
-    cnf_path = None
     if args.cnf is not None:
         _write_text(args.cnf, export_cnf(G, targets))
-        cnf_path = args.cnf
     if args.skip_decision:
-        if cnf_path is None:
+        if args.cnf is None:
             raise ValueError("--skip-decision without --cnf does nothing")
-        print(f"wrote {cnf_path}; decision skipped")
+        print(f"wrote {args.cnf}; decision skipped")
         return EXIT_OK
     result = arrows_decision(
         G, targets, max_nodes=args.max_nodes, max_seconds=args.max_seconds
@@ -236,7 +236,7 @@ def _cmd_arrow(args) -> int:
         "exhausted": result.exhausted,
         "nodes_explored": result.nodes_explored,
         "witness_file": witness_path,
-        "cnf_file": cnf_path,
+        "cnf_file": args.cnf,
     }
     text = f"{result.verdict} (nodes explored: {result.nodes_explored})\n"
     code = EXIT_OK if result.verdict == "arrows" else EXIT_NOT_ARROWS

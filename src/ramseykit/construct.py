@@ -82,7 +82,7 @@ class NotLinearError(ValueError):
         )
 
 
-def parse_probability(value: str | float | Fraction | int, n: int | None = None) -> Fraction:
+def parse_probability(value: str, n: int | None = None) -> Fraction:
     """Parse a probability given as a decimal, a rational ``a/b``, or a
     power ``n^x`` with rational x (evaluated at the supplied n).
 
@@ -92,59 +92,58 @@ def parse_probability(value: str | float | Fraction | int, n: int | None = None)
     bounds evaluated downstream) stays a true upper bound.  Such a power
     below 10^-60 is refused, not rounded up to 10^-60.
     """
-    if isinstance(value, (Fraction, int, float)):
-        p = Fraction(value)
+    text = value.strip()
+    m = re.fullmatch(r"n\^\(?(-?\d+(?:\.\d+)?(?:/\d+)?)\)?", text)
+    if m:
+        if n is None:
+            raise ValueError(f"probability {text!r} needs a concrete n")
+        p = _rational_power_up(n, Fraction(m.group(1)))
     else:
-        text = value.strip()
-        m = re.fullmatch(r"n\^\(?(-?\d+(?:\.\d+)?(?:/\d+)?)\)?", text)
-        if m:
-            if n is None:
-                raise ValueError(f"probability {text!r} needs a concrete n")
-            exponent = Fraction(m.group(1))
-            p = _rational_power_up(n, exponent)
-        else:
-            try:
-                p = Fraction(text)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"cannot parse probability {value!r}") from None
+        try:
+            p = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse probability {value!r}") from None
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     return p
 
 
 def _int_nth_root(x: int, b: int) -> int:
-    """floor(x ** (1/b)) for non-negative integers, by Newton iteration."""
+    """floor(x ** (1/b)) for non-negative integers, by Newton iteration.
+
+    Exact with no correction step.  Let k = floor(x^(1/b)); with L the
+    bit length of x, the start 2^ceil(L/b) exceeds x^(1/b).  A step sends y
+    to floor(((b-1)*y + x/y^(b-1)) / b) (the code's inner floor changes
+    nothing), and by AM-GM that mean is >= x^(1/b), so no iterate falls
+    below k; while y > k, y^b > x makes the step < y.  So the iterates
+    fall strictly to k, where the next one is >= k and the loop stops.
+    """
     if x < 0 or b < 1:
-        raise ValueError("need x >= 0 and b >= 1")
+        raise ValueError(f"need x >= 0 and b >= 1, got x={x}, b={b}")
     if x == 0:
         return 0
     root = 1 << (-(-x.bit_length() // b))
     while True:
         nxt = ((b - 1) * root + x // root ** (b - 1)) // b
         if nxt >= root:
-            break
+            return root
         root = nxt
-    while root ** b > x:
-        root -= 1
-    while (root + 1) ** b <= x:
-        root += 1
-    return root
 
 
-def _rational_power_up(base: int, exponent: Fraction, digits: int = 60) -> Fraction:
+def _rational_power_up(base: int, exponent: Fraction) -> Fraction:
     """base ** exponent as a fraction; exact for integer exponents, else
-    rounded up to a multiple of 10^-digits."""
+    rounded up to a multiple of 10^-60."""
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
     a, b = exponent.numerator, exponent.denominator
     power = Fraction(base) ** a
     if b == 1:
         return power
-    scale = 10 ** digits
+    scale = 10 ** 60
     target = power.numerator * scale ** b // power.denominator
     root = _int_nth_root(target, b)
     if root == 0:
-        raise ValueError(f"{base}^({exponent}) is below 10^-{digits}, the "
+        raise ValueError(f"{base}^({exponent}) is below 10^-60, the "
                          "resolution of non-integer powers")
     return Fraction(root + 1, scale)
 
@@ -333,12 +332,10 @@ class CleanReport:
     `target` is the covered t-set) are the ones found on the ORIGINAL
     hypergraph; `deleted` is the union of one edge per configuration
     (the lex-smallest choice), and `result` is re-verified r-linear and
-    (r, t)-conformal before the report is returned.
+    (r, t)-conformal before the report is returned.  The input, r and t
+    stay with the caller; the report holds only what `clean` found.
     """
 
-    r: int
-    t: int
-    input_edges: int
     linearity_violations: tuple[tuple[Edge, Edge], ...]
     cover_violations: tuple[CoverFamily, ...]
     deleted: tuple[Edge, ...]
@@ -351,12 +348,6 @@ class CleanReport:
     @property
     def num_cover_violations(self) -> int:
         return len(self.cover_violations)
-
-    @property
-    def deleted_fraction(self) -> Fraction:
-        if self.input_edges == 0:
-            return Fraction(0)
-        return Fraction(len(self.deleted), self.input_edges)
 
 
 def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
@@ -390,9 +381,6 @@ def clean(H: UniformHypergraph, r: int, t: int) -> CleanReport:
             f"{r}-linear and ({r},{t})-conformal: {culprit}"
         )
     return CleanReport(
-        r=r,
-        t=t,
-        input_edges=H.num_edges,
         linearity_violations=lin,
         cover_violations=cov,
         deleted=tuple(sorted(doomed)),

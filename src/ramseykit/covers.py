@@ -206,10 +206,8 @@ def phi(family: CoverFamily, t: int) -> Fraction:
 
 
 def cover_inequality_lhs(family: CoverFamily, t: int) -> Fraction:
-    """(|E| - 1) * (r - 1/m) - sum(|A|), exact."""
-    r = family.r
-    m = clique_density(t, r)
-    return (family.size - 1) * (r - Fraction(1, 1) / m) - sum(len(A) for A in family.members)
+    """(|E| - 1) * (r - 1/m) - sum(|A|), exact; it equals -phi - r."""
+    return -phi(family, t) - family.r
 
 
 def check_cover_inequality(family: CoverFamily, t: int) -> bool:

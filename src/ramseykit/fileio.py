@@ -141,7 +141,7 @@ def read_coloring(
     for lineno, line in lines:
         tokens = line.split()
         if len(tokens) != k + 1:
-            raise FormatError(path, lineno, f"expected {k} vertices and a color")
+            raise FormatError(path, lineno, f"expected {k} vertices and a color, got {len(tokens)} tokens")
         edge = _parse_edge(tokens[:k], n, k, path, lineno)
         color = _parse_int(tokens[k], path, lineno, "color")
         if not 1 <= color <= num_colors:

@@ -127,7 +127,7 @@ class EdgeColoring:
 
     def __post_init__(self) -> None:
         if self.num_colors < 1:
-            raise ValueError("need at least one color")
+            raise ValueError(f"need at least one color, got {self.num_colors}")
         canon: dict[Edge, int] = {}
         for edge, color in self.assignment.items():
             e = tuple(sorted(edge))

@@ -48,6 +48,8 @@ class TestTargetList:
             TargetList(3, (3,))
         with pytest.raises(ValueError):
             TargetList(2, ())
+        with pytest.raises(ValueError, match="r must be >= 2, got 1"):
+            TargetList(1, (3,))
 
     def test_order_preserved(self):
         tl = TargetList(2, (4, 3))
@@ -80,6 +82,34 @@ class TestVerifyGoodColoring:
         with pytest.raises(ValueError):
             verify_good_coloring(host, c, TargetList(2, (3, 3)))
 
+    def test_rejects_color_count_or_uniformity_mismatch(self):
+        host = complete_hypergraph(5, 2)
+        with pytest.raises(ValueError, match="coloring has 2 colors, targets expect 3"):
+            verify_good_coloring(host, pentagon_coloring(), TargetList(2, (3, 3, 3)))
+        with pytest.raises(ValueError, match="host uniformity 2 != target uniformity 3"):
+            verify_good_coloring(host, pentagon_coloring(), TargetList(3, (4, 4)))
+
+
+class TestGrowsClique:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(2, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        a = [0] * n
+        for u, v in edges:
+            a[u] |= 1 << v
+            a[v] |= 1 << u
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        size = data.draw(st.integers(1, 4))
+        inside = [w for w in range(n) if mask >> w & 1]
+        expected = any(
+            all(a[u] >> v & 1 for u, v in itertools.combinations(W, 2))
+            for W in itertools.combinations(inside, size)
+        )
+        assert arrows._grows_clique(a, mask, size) == expected
+
 
 class TestArrowsDecision:
     def test_k6_arrows_33(self):
@@ -107,6 +137,11 @@ class TestArrowsDecision:
         res = arrows_decision(G, TargetList(2, (3, 3)))
         assert res.verdict == "not_arrows"
         assert res.witness.assignment == {}
+        for G, targets in ((UniformHypergraph(0, 2, []), TargetList(2, (3, 3))),
+                           (UniformHypergraph(6, 3, []), TargetList(3, (4, 4)))):
+            res = arrows_decision(G, targets)
+            assert (res.verdict, res.nodes_explored) == ("not_arrows", 0)
+            assert res.witness.assignment == {}
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(SearchBudgetExceeded) as err:
@@ -114,6 +149,13 @@ class TestArrowsDecision:
                 complete_hypergraph(6, 2), TargetList(2, (3, 3)), max_nodes=10
             )
         assert err.value.nodes_explored == 11
+
+    def test_time_budget_is_read_every_4096_nodes(self):
+        # K_13 (3,5) needs millions of nodes to its witness, so a zero time
+        # budget stops the search at its first clock reading
+        with pytest.raises(SearchBudgetExceeded) as err:
+            arrows_decision(complete_hypergraph(13, 2), TargetList(2, (3, 5)), max_seconds=0)
+        assert err.value.nodes_explored == 4096
 
     @pytest.mark.parametrize("name, value", [("max_nodes", -5), ("max_seconds", -1.0)])
     @pytest.mark.parametrize("G", [complete_hypergraph(6, 2), UniformHypergraph(5, 2, [])])

@@ -60,6 +60,9 @@ class TestDensityVerb:
     def test_bad_clique_argument(self, capsys):
         code, _, _ = run(capsys, "density", "--clique", "2,2")
         assert code == 64
+        code, _, err = run(capsys, "density", "--clique", "4")
+        assert code == 64
+        assert err == "error: --clique expects 't,r', got '4'\n"
 
 
 class TestConstructVerb:
@@ -158,6 +161,19 @@ class TestWitnessVerb:
         payload = json.loads(out)
         validate(payload, schema)
         assert payload["primal_edges"] == 0
+
+    def test_s_auto_out_of_budget_exit_2(self, capsys, tmp_path, monkeypatch):
+        import ramseykit.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "S_AUTO_MAX_NODES", 1)
+        code, _, err = run(
+            capsys, "witness", "--n", "100", "--r", "2", "--targets", "3,3",
+            "--s-auto", "--p", "n^-4", "--seed", "5", "--out", str(tmp_path / "w"),
+        )
+        assert code == 2
+        assert err.startswith("inconclusive: --s-auto could not decide")
+        assert "search budget exceeded after 2 nodes" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheapChecksFirst:
@@ -263,6 +279,13 @@ class TestArrowVerb:
         assert code == 2
         assert "inconclusive" in err
 
+    def test_time_budget_exit_2(self, capsys, tmp_path):
+        k13 = self._write(tmp_path, 13)
+        code, out, err = run(capsys, "arrow", k13, "--targets", "3,5", "--max-seconds", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inconclusive: search budget exceeded after 4096 nodes")
+
     def test_skip_decision(self, capsys, tmp_path):
         k6 = self._write(tmp_path, 6)
         cnf = tmp_path / "only.cnf"
@@ -272,6 +295,10 @@ class TestArrowVerb:
         )
         assert code == 0
         assert cnf.exists()
+        assert out == f"wrote {cnf}; decision skipped\n"
+        code, out, err = run(capsys, "arrow", k6, "--targets", "3,3", "--skip-decision")
+        assert code == 64
+        assert err == "error: --skip-decision without --cnf does nothing\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "arrow", str(tmp_path / "nope.uhg"), "--targets", "3,3")
@@ -314,6 +341,23 @@ class TestInternalContradictionExit:
         assert out == ""
         assert "internal contradiction" in err
         assert not witness.exists()
+
+    def test_witness_maps_failed_check_to_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a lifted coloring that fails its check is never written
+        from ramseykit import ColoringCheck
+        import ramseykit.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "verify_good_coloring",
+                            lambda *_args: ColoringCheck(False, 2, (4, 7, 9)))
+        code, out, err = run(
+            capsys, "witness", "--n", "100", "--r", "2", "--targets", "3,3",
+            "--s", "5", "--p", "n^-4", "--seed", "5", "--out", str(tmp_path / "w"),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal contradiction: lifted coloring has a "
+                              "monochromatic clique (4, 7, 9) in color 2")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRamseyVerb:

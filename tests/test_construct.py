@@ -28,7 +28,7 @@ from ramseykit import (
     trial_seed,
 )
 from ramseykit import arrows, construct
-from ramseykit.construct import _comb_table, _int_nth_root, _unrank_subset
+from ramseykit.construct import _comb_table, _int_nth_root, _rational_power_up, _unrank_subset
 
 from oracles import naive_conformality, naive_linearity_pairs, walk_unrank_subset
 
@@ -87,6 +87,21 @@ class TestParseProbability:
     def test_int_nth_root(self, x, b):
         root = _int_nth_root(x, b)
         assert root**b <= x < (root + 1) ** b
+
+    def test_int_nth_root_next_to_perfect_powers(self):
+        # n^-3.7 takes a 10th root of a ~10^600 integer; Newton's iterates
+        # must land on floor(x^(1/b)) with no correction step
+        for b in range(1, 13):
+            for k in (1, 2, 3, 10, 2**64 + 1, 3**100, 10**60 - 1, 10**60):
+                for x in (k**b - 1, k**b, k**b + 1):
+                    root = _int_nth_root(x, b)
+                    assert root**b <= x < (root + 1) ** b, (x, b)
+
+    def test_root_and_power_reject_out_of_range(self):
+        with pytest.raises(ValueError, match="got x=-1, b=2"):
+            _int_nth_root(-1, 2)
+        with pytest.raises(ValueError, match="base must be >= 1, got 0"):
+            _rational_power_up(0, Fraction(-7, 2))
 
 
 class TestSampler:
@@ -163,6 +178,8 @@ class TestSampler:
             sample_hypergraph(10, 3, 1.5, 1)
         with pytest.raises(ValueError):
             sample_hypergraph(10, 3, 0.5, -1)
+        with pytest.raises(ValueError, match=r"C\(100000,17\) = \d+ candidate edges exceeds"):
+            sample_hypergraph(10**5, 17, Fraction(1, 10**60), 0)
 
 
 class TestLinearityViolations:
@@ -186,6 +203,10 @@ class TestLinearityViolations:
     def test_matches_naive_scan(self, H):
         for r in range(2, H.k + 1):
             assert linearity_violations(H, r) == naive_linearity_pairs(H.edges, r)
+
+    def test_rejects_r_below_2(self):
+        with pytest.raises(ValueError, match="need 2 <= r <= 3, got r=1"):
+            linearity_violations(UniformHypergraph(5, 3, [(1, 2, 3)]), 1)
 
 
 class TestConformalityViolations:
@@ -261,10 +282,10 @@ class TestClean:
     def test_counts_and_sizes(self):
         H = UniformHypergraph(6, 3, [(1, 2, 4), (2, 3, 5), (1, 3, 6)])
         report = clean(H, 2, 3)
-        assert report.input_edges == 3
+        assert H.num_edges == 3
         assert report.num_cover_violations == 1
         assert report.num_linearity_violations == 0
-        assert report.result.num_edges == report.input_edges - len(report.deleted)
+        assert report.result.num_edges == H.num_edges - len(report.deleted)
         assert len(report.deleted) <= (
             report.num_cover_violations + report.num_linearity_violations
         )
@@ -298,6 +319,19 @@ class TestClean:
         assert str(err.value).endswith(
             "(15, 20, 29) is covered by (13, 15, 17, 29), (15, 20, 26, 30), "
             "(16, 20, 24, 29)"
+        )
+
+    def test_contradiction_names_a_remaining_overlap_pair(self, monkeypatch):
+        """An overlap pair the input scan missed survives cleaning; the
+        re-verify must catch it and name both edges."""
+        H = UniformHypergraph(5, 3, [(1, 2, 3), (1, 2, 4)])
+        scan = construct.linearity_violations
+        monkeypatch.setattr(construct, "linearity_violations",
+                            lambda G, r: [] if G is H else scan(G, r))
+        with pytest.raises(InternalContradictionError) as err:
+            clean(H, 2, 3)
+        assert str(err.value).endswith(
+            "edges (1, 2, 3) and (1, 2, 4) share >= 2 vertices"
         )
 
     def test_scan_reaches_the_timed_layers(self, monkeypatch):

@@ -25,6 +25,14 @@ def proper_subsets(t, r, hi=None):
     return [A for size in range(r, hi + 1) for A in itertools.combinations(W, size)]
 
 
+class TestCoverFamily:
+    def test_rejects_bad_arity_and_short_members(self):
+        with pytest.raises(ValueError, match="cover arity r must be >= 2, got 1"):
+            CoverFamily((1, 2, 3), 1, ((1, 2),))
+        with pytest.raises(ValueError, match=r"member \(3,\) has fewer than r=2 vertices"):
+            CoverFamily((1, 2, 3), 2, ((1, 2), (3,)))
+
+
 class TestIsRCover:
     def test_trivial_cover(self):
         assert is_r_cover((1, 2, 3), [(1, 2, 3)], 2)
@@ -48,6 +56,10 @@ class TestEnumerateMinimalCovers:
         fams = enumerate_minimal_nontrivial_covers((1, 2, 3), proper_subsets(3, 2), 2)
         assert len(fams) == 1
         assert fams[0].members == ((1, 2), (1, 3), (2, 3))
+
+    def test_small_target_rejected(self):
+        with pytest.raises(ValueError, match="target has 2 vertices, need at least r=3"):
+            enumerate_minimal_nontrivial_covers((1, 2), [(1, 2, 3)], 3)
 
     def test_only_trivial_exists(self):
         assert enumerate_minimal_nontrivial_covers((1, 2, 3, 4), [(1, 2, 3, 4)], 2) == []
@@ -154,6 +166,15 @@ class TestCoverInequality:
         with pytest.raises(ValueError):
             check_cover_inequality(fam, 3)
 
+    def test_out_of_range_arguments_rejected(self):
+        fam = CoverFamily((1, 2, 3), 2, ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(ValueError, match="need t > r, got t=2, r=2"):
+            check_cover_inequality(fam, 2)
+        with pytest.raises(ValueError, match="target has 3 vertices, expected t=4"):
+            check_cover_inequality(fam, 4)
+        with pytest.raises(ValueError, match="family must be non-empty"):
+            cover_inequality_lhs(CoverFamily((1, 2, 3), 2, ()), 3)
+
     def test_holds_for_34_families(self):
         W = (1, 2, 3, 4)
         fams = enumerate_minimal_nontrivial_covers(W, proper_subsets(4, 3), 3)
@@ -249,3 +270,5 @@ class TestExpectedCoverBound:
             expected_cover_bound(10, 3, 2, 4, Fraction(1, 2))
         with pytest.raises(ValueError):
             expected_cover_bound(10, 4, 2, 3, 2)
+        with pytest.raises(ValueError, match="need n >= s, got n=3, s=5"):
+            expected_cover_bound(3, 5, 2, 3, Fraction(1, 2))

@@ -66,6 +66,9 @@ class TestHypergraphParseErrors:
     def test_malformed_header(self, tmp_path):
         self._expect(tmp_path, "uhg 5\n", 1, "header")
 
+    def test_header_out_of_range(self, tmp_path):
+        self._expect(tmp_path, "# k = 1\nuhg 5 1\n", 2, "need n >= 0 and k >= 2, got n=5, k=1")
+
     def test_repeated_vertex(self, tmp_path):
         self._expect(tmp_path, "uhg 5 3\n1 1 2\n", 2, "repeated vertex")
 
@@ -124,6 +127,11 @@ class TestColoringParseErrors:
 
     def test_bad_header(self, tmp_path):
         self._expect(tmp_path, "col 3 2\n", "header")
+        self._expect(tmp_path, "col 3 2 0\n", ":1: need n >= 0, k >= 2 and L >= 1")
+
+    def test_wrong_token_count(self, tmp_path):
+        self._expect(tmp_path, "col 3 2 2\n1 2 1\n2 3\n",
+                     ":3: expected 2 vertices and a color, got 2 tokens")
 
     def test_color_out_of_range(self, tmp_path):
         self._expect(tmp_path, "col 3 2 2\n1 2 3\n", "out of range")

@@ -44,11 +44,22 @@ class TestUniformHypergraph:
             UniformHypergraph(4, 3, [(1, 2, 5)])
         with pytest.raises(ValueError):
             UniformHypergraph(4, 1, [])
+        with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+            UniformHypergraph(-1, 2)
+        with pytest.raises(ValueError, match="uniformity k must be >= 2, got 1"):
+            complete_hypergraph(4, 1)
 
     def test_isolated_vertices_representable(self):
         H = UniformHypergraph(10, 2, [(1, 2)])
         assert H.n == 10
         assert H.support == (1, 2)
+
+    def test_reprs_stay_compact(self):
+        H = UniformHypergraph(200, 2, [(i, j) for i in range(1, 101) for j in range(101, 201)])
+        assert H.num_edges == 10**4
+        assert repr(H) == "UniformHypergraph(n=200, k=2, edges=<10000>)"
+        coloring = EdgeColoring(H, 2, dict.fromkeys(H.edges, 1))
+        assert repr(coloring) == f"EdgeColoring(host={H!r}, num_colors=2, assignment=<10000>)"
 
     def test_equality_is_structural(self):
         a = UniformHypergraph(4, 2, [(1, 2), (3, 4)])
@@ -273,6 +284,8 @@ class TestEdgeColoring:
 
     def test_rejects_non_edges_and_bad_colors(self):
         host = UniformHypergraph(4, 2, [(1, 2)])
+        with pytest.raises(ValueError, match="need at least one color, got 0"):
+            EdgeColoring(host, 0, {(1, 2): 1})
         with pytest.raises(ValueError):
             EdgeColoring(host, 2, {(1, 2): 1, (3, 4): 1})
         with pytest.raises(ValueError):
