@@ -418,7 +418,8 @@ def arrows_decision(
     InternalContradictionError), or "arrows" once the full assignment
     tree is pruned away.  Exceeding the budget raises
     SearchBudgetExceeded; an undecided search never turns into a verdict.
-    A negative budget raises ValueError; 0 is a valid budget.
+    A negative or NaN budget raises ValueError; 0 is a valid budget and
+    inf means no limit.
 
     On every complete r = 2 host the search skips colorings whose rows
     are out of lex order (module docstring): verdict and witness are
@@ -426,7 +427,7 @@ def arrows_decision(
     """
     inst = _instance(G, targets)
     for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
-        if budget is not None and budget < 0:
+        if budget is not None and not budget >= 0:
             raise ValueError(f"{name} must be >= 0, got {budget}")
     colors, nodes = _search(inst, max_nodes, max_seconds, time.perf_counter())
     if colors is None:

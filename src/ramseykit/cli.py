@@ -82,9 +82,12 @@ def _report(args, payload: dict, text: str, json_path: str | None = None,
     return code
 
 
+def _params(n, s, r, t, p) -> dict:
+    """The parameter block that every sampling report opens with."""
+    return {"n": n, "s": s, "r": r, "t": t, "p": str(p)}
+
+
 def _cmd_density(args) -> int:
-    if (args.file is None) == (args.clique is None):
-        raise ValueError("give exactly one of <file> or --clique t,r")
     if args.clique is not None:
         parts = _parse_targets(args.clique)
         if len(parts) != 2:
@@ -119,11 +122,7 @@ def _cmd_construct(args) -> int:
     write_hypergraph(report.result, uhg_path)
     payload = {
         "kind": "construct",
-        "n": report.result.n,
-        "s": report.result.k,
-        "r": args.r,
-        "t": args.t,
-        "p": str(p),
+        **_params(args.n, args.s, args.r, args.t, p),
         "seed": args.seed,
         "input_edges": H.num_edges,
         "num_linearity_violations": report.num_linearity_violations,
@@ -188,12 +187,8 @@ def _cmd_witness(args) -> int:
     write_hypergraph(report.result, h0_path)
     payload = {
         "kind": "witness",
-        "n": args.n,
-        "s": s,
-        "r": args.r,
-        "t": t,
+        **_params(args.n, s, args.r, t, p),
         "targets": list(targets.sizes),
-        "p": str(p),
         "seed": args.seed,
         "input_edges": H.num_edges,
         "deleted": len(report.deleted),
@@ -264,11 +259,7 @@ def _cmd_experiment(args) -> int:
     stats = run_trials(args.n, args.s, args.r, args.t, p, args.trials, args.seed)
     payload = {
         "kind": "experiment",
-        "n": args.n,
-        "s": args.s,
-        "r": args.r,
-        "t": args.t,
-        "p": str(p),
+        **_params(args.n, args.s, args.r, args.t, p),
         "trials": stats.trials,
         "master_seed": args.seed,
         "mean_edges": stats.mean_edges,
@@ -278,56 +269,39 @@ def _cmd_experiment(args) -> int:
         "mean_deleted_fraction": stats.mean_deleted_fraction,
         "violation_edge_ratio": stats.violation_edge_ratio,
     }
-    if args.lemma42:
-        bound = expected_cover_bound(args.n, args.s, args.r, args.t, p)
-        payload["cover_bound"] = {
-            "n": args.n,
-            "s": args.s,
-            "r": args.r,
-            "t": args.t,
-            "p": str(p),
-            "trace_count": bound.trace_count,
-            "bound": str(bound.total),
-            "reference": str(bound.reference),
-            "ratio": str(bound.ratio),
-        }
-    if args.csv is not None:
-        # every column is an integer, so no field needs CSV quoting
-        rows = [("seed", "e_H", "X", "Y", "deleted", "e_H0"), *map(astuple, stats.records)]
-        _write_text(args.csv, "".join(",".join(map(str, row)) + "\n" for row in rows))
     text = (
         f"{stats.trials} trials: mean edges {stats.mean_edges:.3f}, "
         f"mean deleted {stats.mean_deleted:.3f}, "
         f"violation/edge ratio {stats.violation_edge_ratio:.6f}\n"
     )
     if args.lemma42:
+        bound = expected_cover_bound(args.n, args.s, args.r, args.t, p)
+        payload["cover_bound"] = {
+            **_params(args.n, args.s, args.r, args.t, p),
+            "trace_count": bound.trace_count,
+            "bound": str(bound.total),
+            "reference": str(bound.reference),
+            "ratio": str(bound.ratio),
+        }
         text += (
             f"cover-count bound {float(bound.total):.6g} vs reference "
             f"{float(bound.reference):.6g} (ratio {float(bound.ratio):.6g})\n"
         )
+    if args.csv is not None:
+        # every column is an integer, so no field needs CSV quoting
+        rows = [("seed", "e_H", "X", "Y", "deleted", "e_H0"), *map(astuple, stats.records)]
+        _write_text(args.csv, "".join(",".join(map(str, row)) + "\n" for row in rows))
     return _report(args, payload, text, json_path=args.json)
 
 
 def _budget(kind, name):
-    """argparse type: a `kind` refused when negative, before any work."""
+    """argparse type: a `kind` refused when negative or NaN, before any work."""
     def parse(text):
-        if (value := kind(text)) < 0:
+        if not (value := kind(text)) >= 0:
             raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
-
-
-def _add_budget_flags(sub) -> None:
-    sub.add_argument("--max-nodes", type=_budget(int, "max_nodes"), default=None,
-                     help="node budget for the search (default: unlimited)")
-    sub.add_argument("--max-seconds", type=_budget(float, "max_seconds"), default=None,
-                     help="time budget in seconds (default: unlimited)")
-
-
-def _add_format_flag(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     help="stdout report format (default: text)")
 
 
 def build_parser() -> _Parser:
@@ -335,83 +309,81 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    d = subs.add_parser("density", help="maximum r-density of a hypergraph")
-    d.add_argument("file", nargs="?", default=None, help=".uhg input file")
-    d.add_argument("--clique", metavar="T,R", default=None,
-                   help="density of the complete R-graph on T vertices")
-    _add_format_flag(d)
+    # flag groups shared by several verbs, each declared once
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text",
+                     help="stdout report format (default: text)")
+    budgets = _Parser(add_help=False)
+    budgets.add_argument("--max-nodes", type=_budget(int, "max_nodes"), default=None,
+                         help="node budget for the search (default: unlimited)")
+    budgets.add_argument("--max-seconds", type=_budget(float, "max_seconds"), default=None,
+                         help="time budget in seconds (default: unlimited)")
+    targets = _Parser(add_help=False)
+    targets.add_argument("--targets", required=True, help="comma list, e.g. 3,3")
+    sampling = _Parser(add_help=False)
+    sampling.add_argument("--p", required=True, help="decimal, a/b, or n^x")
+    sampling.add_argument("--seed", type=int, required=True)
+    nsrt = _Parser(add_help=False)
+    nsrt.add_argument("--n", type=int, required=True)
+    nsrt.add_argument("--s", type=int, required=True)
+    nsrt.add_argument("--r", type=int, required=True)
+    nsrt.add_argument("--t", type=int, required=True)
+
+    d = subs.add_parser("density", parents=[fmt], help="maximum r-density of a hypergraph")
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", default=None, help=".uhg input file")
+    source.add_argument("--clique", metavar="T,R", default=None,
+                        help="density of the complete R-graph on T vertices")
     d.set_defaults(handler=_cmd_density)
 
     c = subs.add_parser(
-        "construct",
+        "construct", parents=[nsrt, sampling, fmt],
         help="sample H(n,s,p), delete bad configurations, write the survivor",
     )
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--s", type=int, required=True)
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--p", required=True, help="decimal, a/b, or n^x")
-    c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", required=True, help="output prefix (.json/.uhg)")
-    _add_format_flag(c)
     c.set_defaults(handler=_cmd_construct)
 
     w = subs.add_parser(
-        "witness",
+        "witness", parents=[targets, sampling, budgets, fmt],
         help="build a primal graph with a certified good coloring",
     )
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--r", type=int, required=True)
-    w.add_argument("--targets", required=True, help="comma list, e.g. 3,3")
     group = w.add_mutually_exclusive_group(required=True)
     group.add_argument("--s", type=int, default=None,
                        help="edge size of the sampled hypergraph")
     group.add_argument("--s-auto", action="store_true",
                        help="set s to the targets' Ramsey number minus one "
                             "(only for cheaply decidable targets)")
-    w.add_argument("--p", required=True, help="decimal, a/b, or n^x")
-    w.add_argument("--seed", type=int, required=True)
     w.add_argument("--out", required=True,
                    help="output prefix (.json/.uhg/.col/.h0.uhg)")
-    _add_budget_flags(w)
-    _add_format_flag(w)
     w.set_defaults(handler=_cmd_witness)
 
-    a = subs.add_parser("arrow", help="decide arrowing, optionally export CNF")
+    a = subs.add_parser("arrow", parents=[targets, budgets, fmt],
+                        help="decide arrowing, optionally export CNF")
     a.add_argument("file", help=".uhg input file")
-    a.add_argument("--targets", required=True, help="comma list, e.g. 3,3")
     a.add_argument("--cnf", default=None, help="write a DIMACS CNF here")
     a.add_argument("--skip-decision", action="store_true",
                    help="only export the CNF, do not run the search")
     a.add_argument("--witness-out", default=None,
                    help="write the good coloring here when not arrowing")
-    _add_budget_flags(a)
-    _add_format_flag(a)
     a.set_defaults(handler=_cmd_arrow)
 
-    rm = subs.add_parser("ramsey", help="least n with K_n arrowing the targets")
-    rm.add_argument("--targets", required=True, help="comma list, e.g. 3,3")
+    rm = subs.add_parser("ramsey", parents=[targets, budgets, fmt],
+                         help="least n with K_n arrowing the targets")
     rm.add_argument("--r", type=int, required=True)
     rm.add_argument("--nmax", type=int, required=True)
-    _add_budget_flags(rm)
-    _add_format_flag(rm)
     rm.set_defaults(handler=_cmd_ramsey)
 
     e = subs.add_parser(
-        "experiment", help="repeated sample-and-clean trials with statistics"
+        "experiment", parents=[nsrt, sampling, fmt],
+        help="repeated sample-and-clean trials with statistics",
     )
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--s", type=int, required=True)
-    e.add_argument("--r", type=int, required=True)
-    e.add_argument("--t", type=int, required=True)
-    e.add_argument("--p", required=True, help="decimal, a/b, or n^x")
     e.add_argument("--trials", type=int, required=True)
-    e.add_argument("--seed", type=int, required=True)
     e.add_argument("--csv", default=None, help="write per-trial rows here")
     e.add_argument("--json", default=None, help="write the JSON summary here")
     e.add_argument("--lemma42", action="store_true",
                    help="also evaluate the exact cover-count bound")
-    _add_format_flag(e)
     e.set_defaults(handler=_cmd_experiment)
 
     return parser

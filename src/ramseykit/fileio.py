@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Iterator
 
-from .hypergraph import Edge, EdgeColoring, UniformHypergraph
+from .hypergraph import Edge, EdgeColoring, UniformHypergraph, _canonical_edge
 
 __all__ = [
     "FormatError",
@@ -83,18 +83,14 @@ def _read_header(path, lines, spec: str) -> tuple[int, list[int]]:
 
 
 def _parse_edge(tokens: list[str], n: int, k: int, path, lineno: int) -> Edge:
-    if len(tokens) != k:
-        raise FormatError(path, lineno, f"expected {k} vertices, got {len(tokens)}")
-    verts = [_parse_int(tok, path, lineno, "vertex") for tok in tokens]
-    for v in verts:
-        if not 1 <= v <= n:
-            raise FormatError(path, lineno, f"vertex {v} out of range 1..{n}")
-    for a, b in zip(verts, verts[1:]):
-        if a == b:
-            raise FormatError(path, lineno, f"repeated vertex {a} in edge")
-        if a > b:
-            raise FormatError(path, lineno, "vertices must be strictly ascending")
-    return tuple(verts)
+    verts = tuple(_parse_int(tok, path, lineno, "vertex") for tok in tokens)
+    try:
+        edge = _canonical_edge(verts, k, n)
+    except ValueError as exc:
+        raise FormatError(path, lineno, str(exc)) from None
+    if edge != verts:
+        raise FormatError(path, lineno, "vertices must be strictly ascending")
+    return edge
 
 
 def read_hypergraph(path: str | os.PathLike) -> UniformHypergraph:
@@ -109,7 +105,7 @@ def read_hypergraph(path: str | os.PathLike) -> UniformHypergraph:
         if edge in edges:
             raise FormatError(path, lineno, f"duplicate edge (first at line {edges[edge]})")
         edges[edge] = lineno
-    return UniformHypergraph(n, k, tuple(edges))
+    return UniformHypergraph._from_canonical(n, k, tuple(sorted(edges)))
 
 
 def write_hypergraph(H: UniformHypergraph, path: str | os.PathLike) -> None:
@@ -155,7 +151,7 @@ def read_coloring(
         assignment[edge] = color
         first_seen[edge] = lineno
     if host is None:
-        host = UniformHypergraph(n, k, tuple(assignment))
+        host = UniformHypergraph._from_canonical(n, k, tuple(sorted(assignment)))
     elif len(assignment) != host.num_edges:
         missing = sorted(host.edge_set - assignment.keys())[0]
         raise FormatError(path, lineno, f"host edge {missing} is not colored")

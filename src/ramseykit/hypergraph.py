@@ -111,8 +111,7 @@ class UniformHypergraph:
 
 def complete_hypergraph(num_vertices: int, k: int) -> UniformHypergraph:
     """The complete k-uniform hypergraph on {1, ..., num_vertices}."""
-    if k < 2:
-        raise ValueError(f"uniformity k must be >= 2, got {k}")
+    UniformHypergraph(num_vertices, k)  # the constructor's checks of n and k
     edges = tuple(itertools.combinations(range(1, num_vertices + 1), k))
     return UniformHypergraph._from_canonical(num_vertices, k, edges)
 

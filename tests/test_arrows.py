@@ -163,6 +163,13 @@ class TestArrowsDecision:
         with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value}"):
             arrows_decision(G, TargetList(2, (3, 3)), **{name: value})
 
+    def test_nan_time_budget_rejected_and_inf_means_no_limit(self):
+        # NaN compares false both ways, so a NaN budget would never stop
+        G, targets = complete_hypergraph(6, 2), TargetList(2, (3, 3))
+        with pytest.raises(ValueError, match="max_seconds must be >= 0, got nan"):
+            arrows_decision(G, targets, max_seconds=float("nan"))
+        assert arrows_decision(G, targets, max_seconds=float("inf")).verdict == "arrows"
+
     def test_zero_budget_is_valid(self):
         empty = UniformHypergraph(5, 2, [])
         for budget in ({"max_nodes": 0}, {"max_seconds": 0}):

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from ramseykit import complete_hypergraph, read_coloring, read_hypergraph, write_hypergraph
-from ramseykit.cli import main
+from ramseykit.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,15 @@ class TestDensityVerb:
         assert code == 64
         code, _, err = run(capsys, "density", "x.uhg", "--clique", "3,2")
         assert code == 64
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "one of the arguments file --clique is required"),
+        (["x.uhg", "--clique", "3,2"], "argument --clique: not allowed with argument file"),
+    ], ids=["neither", "both"])
+    def test_source_errors_exit_64(self, capsys, argv, message):
+        code, out, err = run(capsys, "density", *argv)
+        assert (code, out) == (64, "")
+        assert err == f"error: {message}\n"
 
     def test_bad_clique_argument(self, capsys):
         code, _, _ = run(capsys, "density", "--clique", "2,2")
@@ -227,6 +236,26 @@ class TestCheapChecksFirst:
         assert code == 64
         assert message in err
         assert [f.name for f in tmp_path.iterdir()] == ["one.uhg"]  # nothing written
+
+
+    @pytest.mark.parametrize("argv", [
+        ["ramsey", "--targets", "3,3", "--r", "2", "--nmax", "7"],
+        WITNESS + ["--p", "n^-4", "--seed", "0", "--out", "x"],
+        ["arrow", "one.uhg", "--targets", "3,3"],
+    ], ids=["ramsey", "witness", "arrow"])
+    def test_nan_time_budget_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a search ran with a NaN time budget")
+
+        for target in ("base_coloring_search", "sample_hypergraph", "arrows_decision",
+                       "ramsey_number"):
+            monkeypatch.setattr(f"ramseykit.cli.{target}", refuse)
+        write_hypergraph(complete_hypergraph(3, 2), tmp_path / "one.uhg")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--max-seconds", "nan")
+        assert (code, out) == (64, "")
+        assert err == "error: argument --max-seconds: max_seconds must be >= 0, got nan\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["one.uhg"]
 
 
 class TestArrowVerb:
@@ -474,3 +503,76 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 64
+
+
+def _parsed(*argv):
+    ns = vars(build_parser().parse_args(list(argv)))
+    ns["handler"] = ns["handler"].__name__
+    return ns
+
+
+class TestParser:
+    """Every flag of every verb lands in the namespace its handler reads."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["density", "g.uhg", "--format", "json"],
+         {"verb": "density", "handler": "_cmd_density", "file": "g.uhg", "clique": None,
+          "format": "json"}),
+        (["density", "--clique", "3,2", "--format", "json"],
+         {"verb": "density", "handler": "_cmd_density", "file": None, "clique": "3,2",
+          "format": "json"}),
+        (["construct", "--n", "50", "--s", "4", "--r", "2", "--t", "3", "--p", "0.1",
+          "--seed", "3", "--out", "x", "--format", "json"],
+         {"verb": "construct", "handler": "_cmd_construct", "n": 50, "s": 4, "r": 2, "t": 3,
+          "p": "0.1", "seed": 3, "out": "x", "format": "json"}),
+        (["witness", "--n", "100", "--r", "2", "--targets", "3,3", "--s", "5", "--p", "n^-4",
+          "--seed", "0", "--out", "w", "--max-nodes", "10", "--max-seconds", "2.5",
+          "--format", "json"],
+         {"verb": "witness", "handler": "_cmd_witness", "n": 100, "r": 2, "targets": "3,3",
+          "s": 5, "s_auto": False, "p": "n^-4", "seed": 0, "out": "w", "max_nodes": 10,
+          "max_seconds": 2.5, "format": "json"}),
+        (["witness", "--n", "100", "--r", "2", "--targets", "3,3", "--s-auto", "--p", "n^-4",
+          "--seed", "0", "--out", "w"],
+         {"verb": "witness", "handler": "_cmd_witness", "n": 100, "r": 2, "targets": "3,3",
+          "s": None, "s_auto": True, "p": "n^-4", "seed": 0, "out": "w", "max_nodes": None,
+          "max_seconds": None, "format": "text"}),
+        (["arrow", "g.uhg", "--targets", "3,3", "--cnf", "c.cnf", "--skip-decision",
+          "--witness-out", "w.col", "--max-nodes", "5", "--max-seconds", "inf",
+          "--format", "json"],
+         {"verb": "arrow", "handler": "_cmd_arrow", "file": "g.uhg", "targets": "3,3",
+          "cnf": "c.cnf", "skip_decision": True, "witness_out": "w.col", "max_nodes": 5,
+          "max_seconds": float("inf"), "format": "json"}),
+        (["ramsey", "--targets", "3,3", "--r", "2", "--nmax", "7", "--max-nodes", "7",
+          "--max-seconds", "1", "--format", "json"],
+         {"verb": "ramsey", "handler": "_cmd_ramsey", "targets": "3,3", "r": 2, "nmax": 7,
+          "max_nodes": 7, "max_seconds": 1.0, "format": "json"}),
+        (["experiment", "--n", "40", "--s", "4", "--r", "2", "--t", "3", "--p", "0",
+          "--trials", "2", "--seed", "1", "--csv", "a.csv", "--json", "a.json", "--lemma42",
+          "--format", "json"],
+         {"verb": "experiment", "handler": "_cmd_experiment", "n": 40, "s": 4, "r": 2,
+          "t": 3, "p": "0", "trials": 2, "seed": 1, "csv": "a.csv", "json": "a.json",
+          "lemma42": True, "format": "json"}),
+    ], ids=["density_file", "density_clique", "construct", "witness", "witness_s_auto",
+            "arrow", "ramsey", "experiment"])
+    def test_every_flag(self, argv, expected):
+        assert _parsed(*argv) == expected
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["density", "g.uhg"], {"clique": None, "format": "text"}),
+        (["construct", "--n", "5", "--s", "4", "--r", "2", "--t", "3", "--p", "0",
+          "--seed", "1", "--out", "x"], {"format": "text"}),
+        (["witness", "--n", "5", "--r", "2", "--targets", "3,3", "--s", "5", "--p", "0",
+          "--seed", "0", "--out", "w"],
+         {"s_auto": False, "max_nodes": None, "max_seconds": None, "format": "text"}),
+        (["arrow", "g.uhg", "--targets", "3,3"],
+         {"cnf": None, "skip_decision": False, "witness_out": None, "max_nodes": None,
+          "max_seconds": None, "format": "text"}),
+        (["ramsey", "--targets", "3,3", "--r", "2", "--nmax", "7"],
+         {"max_nodes": None, "max_seconds": None, "format": "text"}),
+        (["experiment", "--n", "5", "--s", "4", "--r", "2", "--t", "3", "--p", "0",
+          "--trials", "1", "--seed", "1"],
+         {"csv": None, "json": None, "lemma42": False, "format": "text"}),
+    ], ids=["density", "construct", "witness", "arrow", "ramsey", "experiment"])
+    def test_optional_flag_defaults(self, argv, defaults):
+        ns = _parsed(*argv)
+        assert {key: ns[key] for key in defaults} == defaults

@@ -81,6 +81,16 @@ class TestHypergraphParseErrors:
     def test_wrong_arity(self, tmp_path):
         self._expect(tmp_path, "uhg 5 3\n1 2\n", 2, "expected 3")
 
+    @pytest.mark.parametrize("line, message", [
+        ("1 2 9", "vertex 9 out of range 1..5 in edge (1, 2, 9)"),
+        ("0 1 2", "vertex 0 out of range 1..5 in edge (0, 1, 2)"),
+        ("1 1 2", "repeated vertex 1 in edge (1, 1, 2)"),
+        ("1 2", "edge (1, 2) has 2 vertices, expected 3"),
+        ("1 2 3 4", "edge (1, 2, 3, 4) has 4 vertices, expected 3"),
+    ])
+    def test_edge_errors_name_the_edge(self, tmp_path, line, message):
+        self._expect(tmp_path, f"uhg 5 3\n2 3 4\n{line}\n", 3, message)
+
     def test_duplicate_edge(self, tmp_path):
         self._expect(tmp_path, "uhg 5 3\n1 2 3\n2 3 4\n1 2 3\n", 4, "duplicate")
 
@@ -132,6 +142,13 @@ class TestColoringParseErrors:
     def test_wrong_token_count(self, tmp_path):
         self._expect(tmp_path, "col 3 2 2\n1 2 1\n2 3\n",
                      ":3: expected 2 vertices and a color, got 2 tokens")
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 4 1", ":3: vertex 4 out of range 1..3 in edge (1, 4)"),
+        ("2 2 1", ":3: repeated vertex 2 in edge (2, 2)"),
+    ])
+    def test_edge_errors_name_the_edge(self, tmp_path, line, message):
+        self._expect(tmp_path, f"col 3 2 2\n1 2 1\n{line}\n", message)
 
     def test_color_out_of_range(self, tmp_path):
         self._expect(tmp_path, "col 3 2 2\n1 2 3\n", "out of range")

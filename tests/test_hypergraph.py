@@ -49,6 +49,10 @@ class TestUniformHypergraph:
         with pytest.raises(ValueError, match="uniformity k must be >= 2, got 1"):
             complete_hypergraph(4, 1)
 
+    def test_complete_hypergraph_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+            complete_hypergraph(-1, 2)
+
     def test_isolated_vertices_representable(self):
         H = UniformHypergraph(10, 2, [(1, 2)])
         assert H.n == 10
