@@ -19,13 +19,17 @@ samples (``ramsey``, ``arrow``, ``density``) does not import it.  Trial
 i of a multi-trial run uses the derived seed ``trial_seed(master_seed,
 i)`` (SHA-256 based, platform independent).  Identical seeds give
 identical hypergraphs; reports contain no wall-clock data, so reruns are
-byte-identical.
+byte-identical.  `run_trials` runs blocks of trials in forked children,
+one block per usable CPU, and computes itself whatever a child does not
+report in full, so its records do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import marshal
+import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -478,6 +482,22 @@ class TrialStats:
         return (self.mean_cover_violations + self.mean_linearity_violations) / self.mean_edges
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (`taskset` narrows them)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _trial_rows(n, s, r, t, p, seeds: list[int]) -> list[tuple[int, ...]]:
+    """Each trial's `TrialRecord` fields, as plain ints that marshal can send."""
+    rows = []
+    for seed in seeds:
+        H = sample_hypergraph(n, s, p, seed)
+        report = clean(H, r, t)
+        rows.append((seed, H.num_edges, report.num_cover_violations,
+                     report.num_linearity_violations, len(report.deleted), report.result.num_edges))
+    return rows
+
+
 def run_trials(
     n: int,
     s: int,
@@ -491,25 +511,50 @@ def run_trials(
 
     Trial i runs on the derived seed ``trial_seed(master_seed, i)``, so
     trials are independent streams and the whole run is reproducible
-    from the master seed alone.
+    from the master seed alone.  Contiguous blocks of trials, one per
+    usable CPU, run in children forked before any sampling, except the
+    first, which the caller runs; what a child does not report in full
+    the caller computes itself, in index order, so errors and records are
+    exactly those of a one-CPU run.  Every child is reaped before this
+    returns or raises (killed first if the caller raises).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_seed(master_seed)
-    records = []
-    for i in range(trials):
-        seed = trial_seed(master_seed, i)
-        H = sample_hypergraph(n, s, p, seed)
-        report = clean(H, r, t)
-        records.append(
-            TrialRecord(
-                seed=seed,
-                edges_sampled=H.num_edges,
-                cover_violations=report.num_cover_violations,
-                linearity_violations=report.num_linearity_violations,
-                deleted=len(report.deleted),
-                edges_clean=report.result.num_edges,
-            )
-        )
-    return TrialStats(tuple(records))
-
+    seeds = [trial_seed(master_seed, i) for i in range(trials)]
+    blocks = min(_usable_cpus(), trials)
+    cuts = [trials * b // blocks for b in range(blocks + 1)]
+    jobs = [(None, None, seeds[: cuts[1]])]  # (child pid, its pipe, the block's seeds)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the pipe stays empty
+                pid = None
+            if pid == 0:  # the child reports its whole block or nothing, never returns
+                try:
+                    os.write(write_end, marshal.dumps(_trial_rows(n, s, r, t, p, seeds[lo:hi])))
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            jobs.append((pid, open(read_end, "rb"), seeds[lo:hi]))
+        rows = []
+        for _pid, pipe, block in jobs:
+            try:
+                got = marshal.loads(pipe.read()) if pipe else []
+            except (EOFError, ValueError, TypeError):  # a short or empty report
+                got = []
+            rows += got if len(got) == len(block) else _trial_rows(n, s, r, t, p, block)
+    except BaseException:
+        import signal  # not loaded at interpreter start, so only on this path
+        for pid, _pipe, _block in jobs:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _block in jobs[1:]:
+            pipe.close()
+            if pid:
+                os.waitpid(pid, 0)
+    return TrialStats(tuple(TrialRecord(*row) for row in rows))

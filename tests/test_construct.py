@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -514,6 +515,97 @@ class TestRunTrials:
     def test_rejects_negative_master_seed(self):
         with pytest.raises(ValueError):
             run_trials(50, 4, 2, 3, 0.0, 2, -1)
+
+
+TRIAL_ARGS = (40, 3, 2, 3, 0.02)  # ~200 edges per trial, with both kinds of violation
+
+
+def serial_trials(monkeypatch, trials, master_seed=5):
+    monkeypatch.setattr(construct, "_usable_cpus", lambda: 1)
+    return run_trials(*TRIAL_ARGS, trials, master_seed)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_on_trial(monkeypatch, index, master_seed=5):
+    """Make `clean` raise in the trial whose seed is trial_seed(master_seed, index)."""
+    drawn = []
+    real_sample, real_clean = construct.sample_hypergraph, construct.clean
+
+    def sample(n, s, p, seed):
+        drawn.append(seed)
+        return real_sample(n, s, p, seed)
+
+    def clean(H, r, t):
+        if drawn[-1] == trial_seed(master_seed, index):
+            raise InternalContradictionError(f"trial {index} fails on seed {drawn[-1]}")
+        return real_clean(H, r, t)
+
+    monkeypatch.setattr(construct, "sample_hypergraph", sample)
+    monkeypatch.setattr(construct, "clean", clean)
+
+
+class TestRunTrialsInBlocks:
+    """`run_trials` forks one child per block after the first; every
+    result must equal the one-block run whatever the children do."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    @pytest.mark.parametrize("blocks", [2, 3, 4])
+    def test_blocks_give_the_serial_records(self, monkeypatch, blocks, trials):
+        expected = serial_trials(monkeypatch, trials)
+        caller, real_rows, computed_here = os.getpid(), construct._trial_rows, []
+
+        def rows(*args):
+            if os.getpid() == caller:
+                computed_here.append(len(args[-1]))
+            return real_rows(*args)
+
+        monkeypatch.setattr(construct, "_trial_rows", rows)
+        monkeypatch.setattr(construct, "_usable_cpus", lambda: blocks)
+        assert run_trials(*TRIAL_ARGS, trials, 5) == expected
+        # the caller ran only the first block: every child reported in full
+        assert computed_here == [trials // min(blocks, trials)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("index", [0, 2, 4])  # the caller's block, then children's
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_a_raising_trial_raises_as_the_serial_run_does(self, monkeypatch, blocks, index):
+        fail_on_trial(monkeypatch, index)
+        with pytest.raises(InternalContradictionError) as serial:
+            serial_trials(monkeypatch, 5)
+        monkeypatch.setattr(construct, "_usable_cpus", lambda: blocks)
+        with pytest.raises(InternalContradictionError) as forked:
+            run_trials(*TRIAL_ARGS, 5, 5)
+        assert str(forked.value) == str(serial.value)
+        assert_no_child_left()
+
+    def test_the_caller_recomputes_a_block_whose_child_died(self, monkeypatch):
+        expected = serial_trials(monkeypatch, 5)
+        caller, real_clean = os.getpid(), construct.clean
+
+        def clean(H, r, t):
+            if os.getpid() != caller:
+                os._exit(1)  # dies before reporting anything
+            return real_clean(H, r, t)
+
+        monkeypatch.setattr(construct, "clean", clean)
+        monkeypatch.setattr(construct, "_usable_cpus", lambda: 3)
+        assert run_trials(*TRIAL_ARGS, 5, 5) == expected
+        assert_no_child_left()
+
+    def test_the_caller_runs_a_block_no_child_could_start(self, monkeypatch):
+        expected = serial_trials(monkeypatch, 5)
+
+        def fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(construct, "_usable_cpus", lambda: 2)
+        assert run_trials(*TRIAL_ARGS, 5, 5) == expected
+        assert_no_child_left()
 
 
 class TestTrialSeed:
