@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import astuple
 from fractions import Fraction
@@ -402,6 +403,9 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
+    # numpy serves only the sampler's RNG and the CLI never calls BLAS, so
+    # OpenBLAS need not start its worker threads when numpy is imported
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)

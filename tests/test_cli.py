@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -496,6 +497,19 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "6"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+    def test_openblas_threads_default_to_one(self, monkeypatch, preset, expected):
+        # the handler, and so the sampler's numpy import, sees the value
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        seen = []
+        monkeypatch.setattr("ramseykit.cli._cmd_density",
+                            lambda _args: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+        assert main(["density", "--clique", "4,2"]) == 0
+        assert seen == [expected]
 
     def test_unknown_verb_is_usage_error(self):
         proc = subprocess.run(

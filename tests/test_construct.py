@@ -210,6 +210,14 @@ class TestLinearityViolations:
             linearity_violations(UniformHypergraph(5, 3, [(1, 2, 3)]), 1)
 
 
+def assert_matches_naive_scan(H, r, t):
+    # targets in lex order, then each target's families sorted
+    naive = naive_conformality(H.n, H.edges, r, t)
+    want = [(W, fam) for W in sorted(naive) for fam in sorted(tuple(sorted(f)) for f in naive[W])]
+    got = [(fam.target, fam.members) for fam in conformality_violations(H, r, t)]
+    assert got == want
+
+
 class TestConformalityViolations:
     def test_single_edge_conformal(self):
         H = UniformHypergraph(6, 4, [(1, 2, 3, 4)])
@@ -240,11 +248,34 @@ class TestConformalityViolations:
     def test_matches_naive_scan(self, H, data):
         pairs = [(r, t) for r in range(2, H.k) for t in range(r + 1, H.k + 1)]
         r, t = data.draw(st.sampled_from(pairs))
-        # targets in lex order, then each target's families sorted
-        naive = naive_conformality(H.n, H.edges, r, t)
-        want = [(W, fam) for W in sorted(naive) for fam in sorted(tuple(sorted(f)) for f in naive[W])]
-        got = [(fam.target, fam.members) for fam in conformality_violations(H, r, t)]
-        assert got == want
+        assert_matches_naive_scan(H, r, t)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_inputs_match_naive_scan(self, data):
+        # sparse inputs leave most r-sets unhinged, so the scan searches
+        # only a small part of the primal graph
+        r = data.draw(st.sampled_from((2, 3)))
+        t = data.draw(st.sampled_from((r + 1, r + 2)))
+        k = data.draw(st.integers(t, t + 1))
+        n = data.draw(st.integers(k, 16))
+        edges = data.draw(st.lists(st.sets(st.integers(1, n), min_size=k, max_size=k), max_size=6))
+        assert_matches_naive_scan(UniformHypergraph(n, k, edges), r, t)
+
+    def test_pairs_that_meet_all_share_an_edge(self):
+        # W = (1, 2, 3, 4) lies in no edge and any three edges cover it,
+        # yet every two of its pairs that meet lie in a common edge: a
+        # filter on pairs meeting in one vertex with no common holder
+        # would drop W, so the scan tests each pair's vertices instead
+        H = UniformHypergraph(8, 4, [(1, 2, 3, 5), (1, 2, 4, 6), (1, 3, 4, 7), (2, 3, 4, 8)])
+        W = (1, 2, 3, 4)
+        pairs = list(itertools.combinations(W, 2))
+        assert all(any(set(a) | set(b) <= set(A) for A in H.edges)
+                   for a, b in itertools.combinations(pairs, 2) if set(a) & set(b))
+        got = conformality_violations(H, 2, 4)
+        assert [fam.target for fam in got] == [W] * 4
+        assert {fam.members for fam in got} == set(itertools.combinations(H.edges, 3))
+        assert_matches_naive_scan(H, 2, 4)
 
     @pytest.mark.xfail(strict=True, reason="cleaning defect: t-sets inside one edge are skipped")
     def test_mean_count_matches_exact_expectation(self):
