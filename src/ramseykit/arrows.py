@@ -214,9 +214,12 @@ def verify_good_coloring(
         )
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
-    for color, size in enumerate(targets.sizes, start=1):
-        mono = UniformHypergraph._from_canonical(G.n, G.k, coloring.color_class(color))
-        hits = enumerate_cliques(mono, size)
+    assignment = coloring.assignment
+    classes: list[list[Edge]] = [[] for _ in targets.sizes]
+    for edge in G.edges:  # lex order, kept within each class
+        classes[assignment[edge] - 1].append(edge)
+    for color, (size, edges) in enumerate(zip(targets.sizes, classes), start=1):
+        hits = enumerate_cliques(UniformHypergraph._from_canonical(G.n, G.k, tuple(edges)), size)
         if hits:
             return ColoringCheck(False, color, hits[0])
     return ColoringCheck(True)

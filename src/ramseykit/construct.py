@@ -338,9 +338,10 @@ def conformality_violations(H: UniformHypergraph, r: int, t: int) -> list[CoverF
     since a near-linear H keeps few hinged r-sets (50 of 26,972 on a
     3-graph of 482 8-sets, whose full scan lists 33,740 such cliques).
 
-    One r-subset index, built once per call, answers both questions a
-    candidate W asks: `owner[B]`, the lex-first edge holding the r-subset
-    B, and `others[B]`, the later holders of each B held twice or more.
+    One r-subset index, built at the first candidate (never, when there
+    is none), answers both questions a candidate W asks: `owner[B]`, the
+    lex-first edge holding the r-subset B, and `others[B]`, the later
+    holders of each B held twice or more.
     An edge containing W contains W[:r], so W lies in a single edge iff
     it lies in one of the holders of W[:r].  An edge meets W in >= r
     vertices iff it holds some r-subset of W, so the relevant edges are
@@ -349,9 +350,11 @@ def conformality_violations(H: UniformHypergraph, r: int, t: int) -> list[CoverF
     the output matches a scan over all of H's edges.
     """
     _check_srt(H.k, r, t)
-    owner, others = _r_subset_holders(H, r)
+    owner = None
     out: list[CoverFamily] = []
     for W in enumerate_cliques(_hinged_part(H, primal_r_graph(H, r)), t):
+        if owner is None:
+            owner, others = _r_subset_holders(H, r)
         wset = set(W)
         head = W[:r]
         if wset.issubset(owner[head]) or any(map(wset.issubset, others.get(head, ()))):
@@ -448,6 +451,14 @@ def lift_coloring(
     assignment has e(H0) * C(s, r) keys; they are then the primal
     r-graph's edges, each colored once.  Otherwise NotLinearError names
     the lex-first overlapping pair.
+
+    The result is built without the validating constructor, because the
+    count check already proves what it would check.  The host is the
+    sorted key set, so the coloring is total on it, and every key, a
+    combinations() tuple of an ascending edge, is already canonical.
+    With the key count equal to e(H0) * C(s, r), no key was assigned
+    twice.  Every color is one of base's, so it lies in 1..L.
+    `verify_good_coloring` remains the certificate for the result.
     """
     s = H0.k
     if r > s or base.host.n != s or base.host.k != r or base.host.num_edges != comb(s, r):
@@ -464,7 +475,7 @@ def lift_coloring(
     if len(assignment) != H0.num_edges * len(colors):
         raise NotLinearError(r, linearity_violations(H0, r)[0])
     host = UniformHypergraph._from_canonical(H0.n, r, tuple(sorted(assignment)))
-    return EdgeColoring(host, base.num_colors, assignment)
+    return EdgeColoring._from_canonical(host, base.num_colors, assignment)
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,17 @@ def read_hypergraph(path: str | os.PathLike) -> UniformHypergraph:
     return UniformHypergraph._from_canonical(n, k, tuple(sorted(edges)))
 
 
+def _line_format(width: int) -> str:
+    # "%d %d ... %d\n" with `width` fields: one %-format per line, which
+    # writes the same bytes as " ".join(map(str, ...)) for int fields
+    return " ".join(["%d"] * width) + "\n"
+
+
 def write_hypergraph(H: UniformHypergraph, path: str | os.PathLike) -> None:
+    line = _line_format(H.k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"uhg {H.n} {H.k}\n")
-        for edge in H.edges:
-            fh.write(" ".join(map(str, edge)) + "\n")
+        fh.writelines(map(line.__mod__, H.edges))
 
 
 def read_coloring(
@@ -160,7 +166,8 @@ def read_coloring(
 
 def write_coloring(coloring: EdgeColoring, path: str | os.PathLike) -> None:
     host = coloring.host
+    line = _line_format(host.k + 1)
+    assignment = coloring.assignment
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"col {host.n} {host.k} {coloring.num_colors}\n")
-        for edge in host.edges:
-            fh.write(" ".join(map(str, edge)) + f" {coloring.assignment[edge]}\n")
+        fh.writelines(line % (*edge, assignment[edge]) for edge in host.edges)

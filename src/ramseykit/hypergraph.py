@@ -143,6 +143,18 @@ class EdgeColoring:
             raise ValueError(f"edge {sorted(missing)[0]} has no color; coloring must be total")
         object.__setattr__(self, "assignment", canon)
 
+    @classmethod
+    def _from_canonical(
+        cls, host: UniformHypergraph, num_colors: int, assignment: dict[Edge, int]
+    ) -> "EdgeColoring":
+        # Internal fast path: caller guarantees num_colors >= 1 and that
+        # assignment maps exactly the host's edges to ints in 1..num_colors.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "host", host)
+        object.__setattr__(obj, "num_colors", num_colors)
+        object.__setattr__(obj, "assignment", assignment)
+        return obj
+
     def color_of(self, edge: Iterable[int]) -> int:
         return self.assignment[tuple(sorted(edge))]
 
@@ -255,16 +267,32 @@ def enumerate_cliques(G: UniformHypergraph, t: int) -> list[tuple[int, ...]]:
       and each seed grows by ascending candidates.
     - For r = 2, link[(u,)] is the set of neighbours above u, and adding
       v narrows by link[(v,)] alone (S is the empty tuple).
+    At t = r the cliques are the edges.  For t > r, each prune below
+    drops only branches that hold no t-clique, so the output is that of
+    the plain growth; `need` = t - |C| - 1 >= 1 is the number of vertices
+    that C + (v,) still lacks.
+    - Seeds: a t-clique seeded by P has t - r + 1 vertices in link[P],
+      so a seed with t - r or fewer candidates seeds none.
+    - Missing link: if no edge starts with S + (v,), no u completes
+      S + (v, u), so X(C + (v,)) is empty and C + (v,) grows no t-clique.
+    - Too few left: each narrowing only removes candidates, and a t-clique
+      through C + (v,) takes its other `need` vertices from X(C + (v,)),
+      so once fewer than `need` remain, none can be found.
+    - Last vertex: at need = 1 each u in X(C + (v,)) makes C + (v, u) a
+      t-clique, which is what a call on C + (v,) would append.
     """
     r = G.k
     if t < r:
         raise ValueError(f"clique size t={t} below uniformity r={r}")
+    if t == r:
+        return list(G.edges)
     link: dict[Edge, set[int]] = defaultdict(set)
     for e in G.edges:
         link[e[:-1]].add(e[-1])
     results: list[Edge] = []
     for P, X in link.items():
-        _grow(P, sorted(X), t, r, link, results)
+        if len(X) > t - r:
+            _grow(P, sorted(X), t, r, link, results)
     return results
 
 
@@ -272,17 +300,25 @@ def _grow(clique: Edge, cands: list[int], t: int, r: int,
           link: Mapping[Edge, set[int]], out: list[Edge]) -> None:
     # not a closure: a recursive closure is a reference cycle, which keeps
     # `link` and `out` alive until the cyclic collector runs
-    if len(clique) == t - 1:
-        out.extend([clique + (v,) for v in cands])
-        return
+    need = t - len(clique) - 1
+    subsets = list(itertools.combinations(clique, r - 2))
     for i, v in enumerate(cands):
-        if len(cands) - i < t - len(clique):
+        if len(cands) - i <= need:
             break
         rest = cands[i + 1 :]
-        for S in itertools.combinations(clique, r - 2):
-            adj = link.get(S + (v,), ())
+        for S in subsets:
+            adj = link.get(S + (v,))
+            if adj is None:
+                break
             rest = [u for u in rest if u in adj]
-        _grow(clique + (v,), rest, t, r, link, out)
+            if len(rest) < need:
+                break
+        else:
+            grown = clique + (v,)
+            if need == 1:
+                out.extend([grown + (u,) for u in rest])
+            else:
+                _grow(grown, rest, t, r, link, out)
 
 
 def count_mono_clique_copies(coloring: EdgeColoring, color: int, t: int) -> int:

@@ -514,6 +514,37 @@ class TestLift:
             for B in itertools.combinations(A, 3):
                 assert lifted.color_of(B) == base.color_of(phi[v] for v in B)
 
+    @given(r=st.sampled_from([2, 3]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_lift_passes_the_validating_constructor(self, r, data):
+        """lift_coloring skips EdgeColoring's checks; a coloring rebuilt
+        through them from the same parts must come out equal."""
+        s = data.draw(st.integers(r, 6))
+        n = data.draw(st.integers(s, 12))
+        drawn = data.draw(st.lists(
+            st.sampled_from(list(itertools.combinations(range(1, n + 1), s))), max_size=8,
+        ))
+        edges, overlapping = [], None  # a greedy r-linear subfamily, and a pair breaking it
+        for A in drawn:
+            if all(len(set(A) & set(B)) < r for B in edges):
+                edges.append(A)
+            elif overlapping is None and A not in edges:
+                overlapping = A
+        H0 = UniformHypergraph(n, s, edges)
+        base_host = complete_hypergraph(s, r)
+        num_colors = data.draw(st.integers(1, 3))
+        colors = data.draw(st.lists(
+            st.integers(1, num_colors), min_size=base_host.num_edges,
+            max_size=base_host.num_edges,
+        ))
+        base = EdgeColoring(base_host, num_colors, dict(zip(base_host.edges, colors)))
+        lifted = lift_coloring(H0, r, base)
+        assert lifted.host == primal_r_graph(H0, r)
+        assert lifted == EdgeColoring(lifted.host, base.num_colors, dict(lifted.assignment))
+        if overlapping is not None:
+            with pytest.raises(NotLinearError):
+                lift_coloring(UniformHypergraph(n, s, edges + [overlapping]), r, base)
+
 
 class TestRunTrials:
     def test_zero_probability_all_zero(self):

@@ -127,6 +127,35 @@ class TestColoringRoundTrip:
         assert path.read_text() == "col 3 2 2\n1 2 1\n2 3 2\n"
 
 
+# The golden digests leave out the .col files, so these pin both writers'
+# bytes beyond k = 2 and single-digit vertices: multi-digit vertices, three
+# colors, lines of different widths, edges given out of lex order.
+PINNED_BYTES = [
+    (
+        UniformHypergraph(12, 3, [(10, 11, 12), (1, 2, 10), (3, 7, 11), (1, 9, 12)]),
+        {(10, 11, 12): 3, (1, 2, 10): 1, (3, 7, 11): 2, (1, 9, 12): 3},
+        b"uhg 12 3\n1 2 10\n1 9 12\n3 7 11\n10 11 12\n",
+        b"col 12 3 3\n1 2 10 1\n1 9 12 3\n3 7 11 2\n10 11 12 3\n",
+    ),
+    (
+        UniformHypergraph(
+            12000, 4, [(9, 10, 9999, 10000), (1, 2, 3, 12000), (10000, 10001, 10002, 11111)]
+        ),
+        {(9, 10, 9999, 10000): 2, (1, 2, 3, 12000): 3, (10000, 10001, 10002, 11111): 1},
+        b"uhg 12000 4\n1 2 3 12000\n9 10 9999 10000\n10000 10001 10002 11111\n",
+        b"col 12000 4 3\n1 2 3 12000 3\n9 10 9999 10000 2\n10000 10001 10002 11111 1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("H, colors, uhg, col", PINNED_BYTES, ids=["k3", "k4"])
+def test_writers_emit_pinned_bytes(tmp_path, H, colors, uhg, col):
+    write_hypergraph(H, tmp_path / "g.uhg")
+    write_coloring(EdgeColoring(H, 3, colors), tmp_path / "c.col")
+    assert (tmp_path / "g.uhg").read_bytes() == uhg
+    assert (tmp_path / "c.col").read_bytes() == col
+
+
 class TestColoringParseErrors:
     def _expect(self, tmp_path, text, fragment, host=None):
         path = tmp_path / "bad.col"
