@@ -255,6 +255,10 @@ def _instance(G, targets) -> _Instance:
             if v > u + 1:  # rows v-1, v at column u
                 pairs.append((1 << (v - 1), index[(u, v - 1)]))
             row_pairs.append(pairs)
+    elif G.k == 2:  # the r = 2 bitsets span the support, renumbered in order
+        label = {v: i for i, v in enumerate(G.support, start=1)}
+        G = UniformHypergraph._from_canonical(
+            len(label), 2, tuple((label[u], label[v]) for u, v in G.edges))
     return _Instance(G, targets, [of_size[t] for t in targets.sizes], row_pairs)
 
 

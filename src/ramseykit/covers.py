@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .hypergraph import clique_density
+from .hypergraph import _from_fields, clique_density
 
 __all__ = [
     "CoverFamily",
@@ -79,16 +79,8 @@ class CoverFamily:
                 )
         object.__setattr__(self, "members", tuple(canon))
 
-    @classmethod
-    def _from_canonical(cls, target: VertexSet, r: int, members: tuple[VertexSet, ...]) -> "CoverFamily":
-        # Internal fast path: caller guarantees r >= 2, a sorted distinct
-        # target, and members that are sorted, distinct, each a sorted
-        # tuple of at least r distinct ints.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "r", r)
-        object.__setattr__(obj, "members", members)
-        return obj
+    # trusted: r >= 2; target, members strictly ascending ints; members sorted, distinct, len >= r
+    _from_canonical = classmethod(_from_fields)
 
     @property
     def size(self) -> int:
@@ -250,7 +242,7 @@ def reduction_sequence(
     for A in family.members:
         current.discard(A)
         current.update(itertools.combinations(A, r))
-        step = CoverFamily(family.target, r, tuple(sorted(current)))
+        step = CoverFamily._from_canonical(family.target, r, tuple(sorted(current)))
         out.append((step, phi(step, t)))
     return out
 

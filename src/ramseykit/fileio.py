@@ -128,7 +128,9 @@ def read_coloring(
 
     When `host` is given, the file must color the host's edge set exactly
     (same n, k, and edges); otherwise the host is reconstructed from the
-    colored edges themselves.
+    colored edges themselves.  The line checks and the final count (or a
+    host built from the colored edges) prove all that `EdgeColoring` would
+    check again: canonical host edges, each colored once, colors in 1..L.
     """
     lines = _content_lines(path)
     lineno, (n, k, num_colors) = _read_header(path, lines, "col <n> <k> <L>")
@@ -161,7 +163,7 @@ def read_coloring(
     elif len(assignment) != host.num_edges:
         missing = sorted(host.edge_set - assignment.keys())[0]
         raise FormatError(path, lineno, f"host edge {missing} is not colored")
-    return EdgeColoring(host, num_colors, assignment)
+    return EdgeColoring._from_canonical(host, num_colors, assignment)
 
 
 def write_coloring(coloring: EdgeColoring, path: str | os.PathLike) -> None:

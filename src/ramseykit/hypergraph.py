@@ -61,6 +61,15 @@ def _canonical_edge(edge: Iterable[int], k: int, n: int) -> Edge:
     return e
 
 
+def _from_fields(cls, *values):
+    """`cls(*values)` for a frozen dataclass, minus its `__post_init__`."""
+    obj = object.__new__(cls)
+    # not obj.__dict__[name] = value: that makes each instance carry its own dict
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class UniformHypergraph:
     """An immutable k-uniform hypergraph on the vertex set {1, ..., n}.
@@ -82,15 +91,8 @@ class UniformHypergraph:
         canon = {_canonical_edge(e, self.k, self.n) for e in self.edges}
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
-    @classmethod
-    def _from_canonical(cls, n: int, k: int, edges: tuple[Edge, ...]) -> "UniformHypergraph":
-        # Internal fast path: caller guarantees edges are sorted ascending
-        # tuples of ints, lex-ordered and duplicate-free.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "k", k)
-        object.__setattr__(obj, "edges", edges)
-        return obj
+    # trusted: edges are ascending int k-tuples in 1..n, lex-ordered, distinct
+    _from_canonical = classmethod(_from_fields)
 
     @property
     def num_edges(self) -> int:
@@ -143,17 +145,8 @@ class EdgeColoring:
             raise ValueError(f"edge {sorted(missing)[0]} has no color; coloring must be total")
         object.__setattr__(self, "assignment", canon)
 
-    @classmethod
-    def _from_canonical(
-        cls, host: UniformHypergraph, num_colors: int, assignment: dict[Edge, int]
-    ) -> "EdgeColoring":
-        # Internal fast path: caller guarantees num_colors >= 1 and that
-        # assignment maps exactly the host's edges to ints in 1..num_colors.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "host", host)
-        object.__setattr__(obj, "num_colors", num_colors)
-        object.__setattr__(obj, "assignment", assignment)
-        return obj
+    # trusted: num_colors >= 1; assignment maps exactly host.edges to ints 1..num_colors
+    _from_canonical = classmethod(_from_fields)
 
     def color_of(self, edge: Iterable[int]) -> int:
         return self.assignment[tuple(sorted(edge))]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,43 @@ class TestArrowsDecision:
             res = arrows_decision(G, targets)
             assert (res.verdict, res.nodes_explored) == ("not_arrows", 0)
             assert res.witness.assignment == {}
+
+    def test_search_bitsets_span_the_support_not_n(self):
+        # a triangle on the top labels of n = 10^6 searches as K_3 does;
+        # bitsets sized by n took 16 MiB here
+        targets = TargetList(2, (3, 3))
+        small = arrows_decision(complete_hypergraph(3, 2), targets)
+        n = 10**6
+        G = UniformHypergraph(n, 2, [(n - 2, n - 1), (n - 2, n), (n - 1, n)])
+        tracemalloc.start()
+        try:
+            big = arrows_decision(G, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert (big.verdict, big.nodes_explored) == (small.verdict, small.nodes_explored)
+        assert big.witness.host == G
+        assert list(big.witness.assignment.values()) == list(small.witness.assignment.values())
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_spread_labels_keep_the_literal_search(self, data):
+        # a host on [40] is never complete, so it runs the literal search;
+        # spreading the labels keeps the edge order, so the node count and
+        # the witness colors are the oracle's on the packed labels
+        n = data.draw(st.integers(3, 7))
+        candidates = list(itertools.combinations(range(1, n + 1), 2))
+        edges = sorted(data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)))
+        labels = sorted(data.draw(st.sets(st.integers(1, 40), min_size=n, max_size=n)))
+        spread = [(labels[u - 1], labels[v - 1]) for u, v in edges]
+        sizes = data.draw(st.sampled_from([(3, 3), (3, 4), (4, 4)]))
+        result = arrows_decision(UniformHypergraph(40, 2, spread), TargetList(2, sizes))
+        literal, nodes = search_nodes(n, sizes, False, edges)
+        assert result.nodes_explored == nodes
+        witness = _assignment(result)
+        assert (None if witness is None else list(witness.values())) == (
+            None if literal is None else [literal[e] for e in edges])
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(SearchBudgetExceeded) as err:

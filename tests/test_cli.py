@@ -217,6 +217,19 @@ class TestCheapChecksFirst:
         assert code == 64
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("p, message", [
+        ("n^-1/0", "cannot parse probability 'n^-1/0'"),
+        ("n^(1/0)", "cannot parse probability 'n^(1/0)'"),
+        ("n^(-3", "cannot parse probability 'n^(-3'"),
+        ("n^-1.5/2", "cannot parse probability 'n^-1.5/2'"),
+        ("n^-3.1417", "denominator above 1000; round it or write it as a/b with b <= 1000"),
+    ])
+    def test_malformed_power_exits_64(self, capsys, tmp_path, p, message):
+        code, out, err = run(capsys, *self.WITNESS, "--p", p, "--seed", "0",
+                             "--out", str(tmp_path / "x"))
+        assert (code, out) == (64, "")
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("argv, message", [
         (WITNESS + ["--p", "n^-4", "--seed", "0", "--out", "x", "--max-nodes", "-1"],
          "max_nodes must be >= 0, got -1"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -84,6 +85,37 @@ class TestParseProbability:
         with pytest.raises(ValueError):
             parse_probability("bogus")
 
+    @pytest.mark.parametrize("x, n", [
+        ("n^-3.2", 200), ("n^-2.75", 200), ("n^-2.6", 60),  # golden
+        ("n^-3.7", 10_000), ("n^-3.2", 1000), ("n^-5.3", 500),  # benchmark
+        ("n^-3.141", 10_000), ("n^(-2999/997)", 10**9),
+    ])
+    def test_fractional_power_is_one_step_above_the_floor_root(self, x, n):
+        # p = (k + 1) / 10^60 with k = floor(10^60 * n^x): an integer
+        # check, so any exact root gives these values byte for byte
+        exponent = Fraction(x[2:].strip("()"))
+        a, b = -exponent.numerator, exponent.denominator
+        k = parse_probability(x, n) * 10**60 - 1
+        assert k.denominator == 1
+        assert k**b * n**a <= 10 ** (60 * b) < (k + 1) ** b * n**a
+
+    def test_three_decimal_power_keeps_its_value(self):
+        # recorded from the Newton root that started at 2^ceil(L/b)
+        assert parse_probability("n^-3.141", 10_000) == Fraction(
+            272897778280804083053772431267575859147047878508, 10**60
+        )
+
+    @pytest.mark.parametrize("text", ["n^-1/0", "n^(1/0)", "n^(-3", "n^-3)", "n^-1.5/2"])
+    def test_malformed_power_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse probability {text!r}")):
+            parse_probability(text, 100)
+
+    def test_exponent_denominator_bounded(self):
+        assert parse_probability("n^(-2999/997)", 10**4) > 0
+        with pytest.raises(ValueError, match=r"-31417/10000 of 'n\^-3\.1417' has a "
+                           r"denominator above 1000; round it or write it as a/b with b <= 1000"):
+            parse_probability("n^-3.1417", 10**4)
+
     @given(x=st.integers(0, 10**12), b=st.integers(1, 6))
     def test_int_nth_root(self, x, b):
         root = _int_nth_root(x, b)
@@ -97,6 +129,12 @@ class TestParseProbability:
                 for x in (k**b - 1, k**b, k**b + 1):
                     root = _int_nth_root(x, b)
                     assert root**b <= x < (root + 1) ** b, (x, b)
+
+    @pytest.mark.parametrize("b", [2, 997, 1000])
+    def test_int_nth_root_of_wide_integers(self, b):
+        for x in (3 ** (200 * b), 3 ** (200 * b) - 1, 10 ** (60 * b) // 7**b + 1):
+            root = _int_nth_root(x, b)
+            assert root**b <= x < (root + 1) ** b, b
 
     def test_root_and_power_reject_out_of_range(self):
         with pytest.raises(ValueError, match="got x=-1, b=2"):

@@ -33,6 +33,18 @@ class TestCoverFamily:
             CoverFamily((1, 2, 3), 2, ((1, 2), (3,)))
 
 
+    @given(data=st.data())
+    def test_trusted_constructor_builds_what_the_validating_one_does(self, data):
+        r = data.draw(st.integers(2, 3))
+        target = tuple(sorted(data.draw(st.sets(st.integers(1, 9), min_size=r))))
+        raw = data.draw(st.lists(st.sets(st.integers(1, 9), min_size=r), max_size=6))
+        members = tuple(sorted({tuple(sorted(m)) for m in raw}))
+        trusted = CoverFamily._from_canonical(target, r, members)
+        validated = CoverFamily(target, r, raw)
+        assert trusted == validated
+        assert (hash(trusted), repr(trusted)) == (hash(validated), repr(validated))
+
+
 class TestIsRCover:
     def test_trivial_cover(self):
         assert is_r_cover((1, 2, 3), [(1, 2, 3)], 2)
@@ -220,6 +232,18 @@ class TestReductionSequence:
             assert all(b <= a for a, b in zip(weights, weights[1:]))
             assert seq[-1][0].members == full
             assert weights[-1] == 2
+
+
+    @pytest.mark.parametrize("t, r", [(4, 2), (5, 3)])
+    def test_steps_equal_the_validating_constructor(self, t, r):
+        W = range(1, t + 1)
+        families = enumerate_minimal_nontrivial_covers(W, proper_subsets(t, r), r)
+        families.append(CoverFamily(W, r, [(1, 2, 3, 7, 8), tuple(range(2, t + 2))]))
+        for fam in families:
+            for step, _ in reduction_sequence(fam, t):
+                rebuilt = CoverFamily(step.target, step.r, step.members)
+                assert step == rebuilt
+                assert (hash(step), repr(step)) == (hash(rebuilt), repr(rebuilt))
 
 
 class TestExpectedCoverBound:

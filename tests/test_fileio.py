@@ -119,6 +119,23 @@ class TestColoringRoundTrip:
         assert recovered.assignment == coloring.assignment
         assert recovered.host.edges == H.edges
 
+    @given(H=hypergraphs(), data=st.data())
+    @settings(max_examples=50)
+    def test_read_equals_the_validating_constructor(self, tmp_path_factory, H, data):
+        # edges in any order, so the reader's checks, not the writer's
+        # order, are what make its trusted result canonical
+        ell = data.draw(st.integers(1, 3))
+        colors = {e: data.draw(st.integers(1, ell)) for e in H.edges}
+        lines = [" ".join(map(str, (*e, colors[e]))) for e in data.draw(st.permutations(H.edges))]
+        path = tmp_path_factory.mktemp("col") / "c.col"
+        path.write_text("\n".join([f"col {H.n} {H.k} {ell}", *lines]) + "\n")
+        for host in (H, None):
+            read = read_coloring(path, host=host)
+            rebuilt = EdgeColoring(read.host, ell, colors)
+            assert read == rebuilt
+            assert (hash(read), repr(read)) == (hash(rebuilt), repr(rebuilt))
+        assert read.host == UniformHypergraph(H.n, H.k, colors)
+
     def test_written_bytes(self, tmp_path):
         host = UniformHypergraph(3, 2, [(1, 2), (2, 3)])
         c = EdgeColoring(host, 2, {(1, 2): 1, (2, 3): 2})

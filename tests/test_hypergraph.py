@@ -305,3 +305,28 @@ class TestEdgeColoring:
         assert c.color_class(1) == ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))
         assert len(c.color_class(2)) == 5
         assert c.color_of((2, 1)) == 1
+
+
+def _same_object(trusted, validated):
+    assert trusted == validated
+    assert hash(trusted) == hash(validated)
+    assert repr(trusted) == repr(validated)
+
+
+class TestTrustedConstructor:
+    """`_from_canonical` skips `__post_init__`; on canonical input it builds
+    what the validating constructor builds."""
+
+    @given(H=hypergraphs(min_k=2, max_k=4))
+    def test_hypergraph(self, H):
+        trusted = UniformHypergraph._from_canonical(H.n, H.k, H.edges)
+        _same_object(trusted, UniformHypergraph(H.n, H.k, H.edges))
+        assert (trusted.edge_set, trusted.support) == (H.edge_set, H.support)
+
+    @given(H=hypergraphs(), data=st.data())
+    def test_coloring(self, H, data):
+        ell = data.draw(st.integers(1, 3))
+        colors = {e: data.draw(st.integers(1, ell)) for e in H.edges}
+        trusted = EdgeColoring._from_canonical(H, ell, dict(colors))
+        _same_object(trusted, EdgeColoring(H, ell, colors))
+        assert trusted.assignment == colors
