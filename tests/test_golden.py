@@ -40,9 +40,9 @@ import pytest
 from ramseykit.cli import main
 
 
-def _complete_graph(n: int) -> str:
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    return f"uhg {n} 2\n" + "".join(f"{a} {b}\n" for a, b in pairs)
+def _complete_graph(n: int, r: int = 2) -> str:
+    subsets = itertools.combinations(range(1, n + 1), r)
+    return f"uhg {n} {r}\n" + "".join(" ".join(map(str, e)) + "\n" for e in subsets)
 
 
 # written into the working directory before every case
@@ -50,6 +50,8 @@ INPUTS = {
     "k4.uhg": _complete_graph(4),
     "k5.uhg": _complete_graph(5),
     "k6.uhg": _complete_graph(6),
+    "k6r3.uhg": _complete_graph(6, 3),
+    "k7r3.uhg": _complete_graph(7, 3),
     "edgeless.uhg": "uhg 6 2\n",
 }
 
@@ -110,6 +112,17 @@ CASES = {
         ["arrow", "k5.uhg", "--targets", "3,3", "--cnf", "k5.cnf", "--skip-decision"],
         ("k5.cnf",), 0, "",
     ),
+    # r >= 3 CNFs: three colors with a repeated target size, and a CNF
+    # written beside a decision
+    "arrow_k6r3_three_colors_skip_decision": (
+        ["arrow", "k6r3.uhg", "--targets", "4,4,5", "--cnf", "k6r3.cnf", "--skip-decision"],
+        ("k6r3.cnf",), 0, "",
+    ),
+    "arrow_k7r3": (
+        ["arrow", "k7r3.uhg", "--targets", "4,5", "--cnf", "k7r3.cnf",
+         "--witness-out", "k7r3.col"],
+        ("k7r3.cnf",), 1, "",
+    ),
     "ramsey_33": (_RAMSEY, (), 0, ""),
     "ramsey_33_json": (_RAMSEY + _JSON, (), 0, ""),
     "usage_error": (["ramsey", "--targets", "3,3", "--nmax", "7"], (), 64, "error"),
@@ -136,6 +149,14 @@ GOLDEN = {
     },
     "arrow_k6_json": {
         "stdout": "a1fc1fc6dc5f4397fe4b0d09c901d739e0b8f631fab7cbd57d3074876e3c9c1d",
+    },
+    "arrow_k6r3_three_colors_skip_decision": {
+        "k6r3.cnf": "aaf0a1c0f5548bb30e5ce8f250d44c2fe5131d24f24a9dcaf3567cb975092283",
+        "stdout": "d3f3559e7fa850dad85b36a4c5ed4bd83f3cc30281c44e2e3ab9ae845f4d50e4",
+    },
+    "arrow_k7r3": {
+        "k7r3.cnf": "0e28a82298c6881b5ba1708e318b1e5ae243c2b4de318a9651f8043418c16b7d",
+        "stdout": "463c9e1d1162887e9e166e1a94fb7f7a3fffaffdf505e33e3e3fe2fde232f73f",
     },
     "budget_overrun": {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
