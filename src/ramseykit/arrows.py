@@ -91,18 +91,23 @@ colors of (1, ..., r-1, v) non-decreasing in v, did not change the node
 count of the K_8^(3) (4,5) base search (measured before forward
 checking), so the r >= 3 search breaks no symmetry.
 
-The search and the DIMACS CNF export read one instance of (G, targets).
-Edge j is G.edges[j] (0-based, lex order), and the search's decision
-"edge j gets color c" is CNF variable j*L + c, for L colors.  The CNF
-lists every at-least-one clause, then every at-most-one clause, then one
-clause per target clique, colors ascending and cliques in lex order; it
-is satisfiable exactly when a good coloring exists.
+The search reads edge ids, not the host: edge j is G.edges[j] (0-based,
+lex order), and its decision "edge j gets color c" is CNF variable
+j*L + c, for L colors.  An r = 2 instance holds each edge's endpoints,
+the support renumbered 1..n in order (the identity on complete hosts),
+and lists no target clique; an r >= 3 instance lists each color's target
+cliques by edge id, through the helper that gives the CNF its clique
+clauses.  The CNF lists every at-least-one clause, then every
+at-most-one clause, then one clause per target clique, colors ascending
+and cliques in lex order; it is satisfiable exactly when a good coloring
+exists.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 
@@ -225,41 +230,40 @@ def verify_good_coloring(
     return ColoringCheck(True)
 
 
-class _Instance:
-    """(G, targets) as the search and the CNF read them: `cliques[c-1]`
-    lists color c's target cliques in lex order, each as the ids of its
-    r-subsets (ascending); `row_pairs` (complete r = 2 hosts only, else
-    None) gives per edge the row-lex comparisons it settles, as (bit
-    1 << i of rows (i, i+1), id of row i's entry in that column).  A plain
-    class: a dataclass would add about a millisecond to every import."""
-
-    __slots__ = ("G", "targets", "cliques", "row_pairs")
-
-    def __init__(self, G, targets, cliques, row_pairs):
-        self.G, self.targets, self.cliques, self.row_pairs = G, targets, cliques, row_pairs
+_Instance = namedtuple("_Instance", "m sizes cliques ends row_pairs")
+_Instance.__doc__ = """What the search reads: `m` edges (ids 0..m-1) and
+the target `sizes`; for r >= 3 the `cliques` of `_target_cliques`; for
+r = 2, `ends[j]`, edge j's endpoints with the support renumbered 1..n in
+order, and `row_pairs` (complete hosts only, else None), per edge the
+row-lex comparisons it settles as (bit 1 << i of rows (i, i+1), id of
+row i's entry in that column).  A namedtuple costs ~0.06 ms at import, a
+dataclass about a millisecond."""
 
 
-def _instance(G, targets) -> _Instance:
+def _target_cliques(G, targets) -> list[list[list[int]]]:
+    """Per color, G's target cliques in lex order, each as the ids of its
+    r-subsets (ascending), edge j being G.edges[j]."""
     if G.k != targets.r:
         raise ValueError(f"host uniformity {G.k} != target uniformity {targets.r}")
     index = {e: j for j, e in enumerate(G.edges)}
     of_size = {t: [[index[B] for B in itertools.combinations(W, G.k)]
                    for W in enumerate_cliques(G, t)] for t in set(targets.sizes)}
+    return [of_size[t] for t in targets.sizes]
+
+
+def _instance(G, targets) -> _Instance:
+    if max(G.k, targets.r) > 2:  # `_target_cliques` refuses a uniformity mismatch
+        return _Instance(G.num_edges, targets.sizes, _target_cliques(G, targets), None, None)
+    label = {v: i for i, v in enumerate(G.support, start=1)}  # the identity on K_n
+    ends = [(label[u], label[v]) for u, v in G.edges]
     row_pairs = None
-    if G.k == 2 and len(index) == comb(G.n, 2):
-        row_pairs = []
-        for u, v in G.edges:
-            pairs = []
-            if u > 1:  # rows u-1, u at column v
-                pairs.append((1 << (u - 1), index[(u - 1, v)]))
-            if v > u + 1:  # rows v-1, v at column u
-                pairs.append((1 << (v - 1), index[(u, v - 1)]))
-            row_pairs.append(pairs)
-    elif G.k == 2:  # the r = 2 bitsets span the support, renumbered in order
-        label = {v: i for i, v in enumerate(G.support, start=1)}
-        G = UniformHypergraph._from_canonical(
-            len(label), 2, tuple((label[u], label[v]) for u, v in G.edges))
-    return _Instance(G, targets, [of_size[t] for t in targets.sizes], row_pairs)
+    if len(ends) == comb(G.n, 2):
+        index = {e: j for j, e in enumerate(ends)}
+        # rows u-1, u at column v and rows v-1, v at column u, each when
+        # row i's entry e in that column is an edge (u > 1; v > u+1)
+        row_pairs = [[(1 << (w - 1), index[e]) for w, e in ((u, (u - 1, v)), (v, (u, v - 1)))
+                      if e in index] for u, v in ends]
+    return _Instance(len(ends), targets.sizes, None, ends, row_pairs)
 
 
 def _row_lex_step(pairs, tied, colors, color) -> int:
@@ -295,22 +299,22 @@ def _search(inst, max_nodes, max_seconds, started):
     """The DFS over edge colors of an instance; (colors, nodes), colors
     None when the tree is exhausted.  `tried[i]` is edge i's current
     color: committed for i < j, the last one tried at j, 0 beyond.  The
-    per-color state is picked by r: adjacency bitmasks (and row-lex when
-    the instance has row pairs) when r = 2, counters over the target
-    cliques with forward checking when r >= 3 (module docstring)."""
-    G = inst.G
-    edges = G.edges
-    m = len(edges)
-    ell = inst.targets.num_colors
-    graph = G.k == 2
+    per-color state is picked by the instance: adjacency bitmasks (and
+    row-lex when it has row pairs) when it has endpoints, else counters
+    over the target cliques with forward checking (module docstring)."""
+    m = inst.m
+    ell = len(inst.sizes)
+    edges = inst.ends
+    graph = edges is not None
     if graph:
         # per color: how many further vertices complete the target clique
         # once an edge is laid down (target size minus the edge endpoints)
-        grow = [t - 2 for t in inst.targets.sizes]
-        adj = [[0] * (G.n + 1) for _ in range(ell)]
+        grow = [t - 2 for t in inst.sizes]
+        n = max((v for _, v in edges), default=0)
+        adj = [[0] * (n + 1) for _ in range(ell)]
         row_pairs = inst.row_pairs
         row_lex = row_pairs is not None
-        tied = (1 << G.n) - 2  # bit i: rows i, i+1 equal on every compared column
+        tied = (1 << n) - 2  # bit i: rows i, i+1 equal on every compared column
         tied_before = [0] * m
     else:
         per_color = []
@@ -456,7 +460,7 @@ def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
     edge, and no fully monochromatic target clique.  A comment block maps
     variables back to (edge, color) pairs.
     """
-    inst = _instance(G, targets)
+    per_color = _target_cliques(G, targets)
     ell = targets.num_colors
     if ell < 2:
         raise ValueError("CNF export needs at least 2 colors")
@@ -472,7 +476,7 @@ def export_cnf(G: UniformHypergraph, targets: TargetList) -> str:
     for eidx in range(m):
         for i, j in itertools.combinations(range(1, ell + 1), 2):
             clauses.append([-var(eidx, i), -var(eidx, j)])
-    for color, cliques in enumerate(inst.cliques, start=1):
+    for color, cliques in enumerate(per_color, start=1):
         for eids in cliques:
             clauses.append([-var(eidx, color) for eidx in eids])
     lines = [

@@ -148,16 +148,18 @@ def _int_nth_root(x: int, b: int) -> int:
 
 def _rational_power_up(base: int, exponent: Fraction) -> Fraction:
     """base ** exponent as a fraction; exact for integer exponents, else
-    rounded up to a multiple of 10^-60."""
+    rounded up to a multiple of 10^-60.  A non-integer power at most 2^-200
+    (-a * floor(log2 base) >= 200b for a/b) is refused before it is formed."""
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
     a, b = exponent.numerator, exponent.denominator
-    power = Fraction(base) ** a
     if b == 1:
-        return power
+        return Fraction(base) ** a
     scale = 10 ** 60
-    target = power.numerator * scale ** b // power.denominator
-    root = _int_nth_root(target, b)
+    root = 0
+    if a * (base.bit_length() - 1) > -200 * b:
+        power = Fraction(base) ** a
+        root = _int_nth_root(power.numerator * scale ** b // power.denominator, b)
     if root == 0:
         raise ValueError(f"{base}^({exponent}) is below 10^-60, the "
                          "resolution of non-integer powers")

@@ -279,6 +279,102 @@ class TestArrowsDecision:
             assert arrows_decision(big, targets).verdict == "arrows"
 
 
+def _no_cliques(*_args):
+    raise AssertionError("enumerate_cliques was called")
+
+
+def _counter_instance(G, targets):
+    """The instance of an r = 2 host without endpoints, which sends the
+    search down its counter branch with forward checking."""
+    return arrows._Instance(G.num_edges, targets.sizes, arrows._target_cliques(G, targets),
+                            None, None)
+
+
+def _counters_agree_with_the_bitsets(G, sizes):
+    """On an r = 2 host, the counter branch with forward checking gives the
+    bitset branch's verdict and witness, in no more nodes than the literal
+    search, which neither breaks symmetry nor checks forward."""
+    targets = TargetList(2, sizes)
+    inst = arrows._instance(G, targets)
+    colors, nodes = arrows._search(_counter_instance(G, targets), None, None, 0.0)
+    assert colors == arrows._search(inst, None, None, 0.0)[0]
+    literal, literal_nodes = search_nodes(len(G.support), sizes, False, inst.ends)
+    assert colors == (None if literal is None else [literal[e] for e in inst.ends])
+    assert nodes <= literal_nodes
+
+
+# the r = 2 hosts of TestArrowsDecision; K_13 (3,5), which only checks the
+# time budget, needs millions of nodes without row-lex and is left out
+_R2_HOSTS = [
+    (complete_hypergraph(n, 2), sizes)
+    for n, sizes in ((3, (3, 3)), (4, (3, 3)), (5, (3, 3)), (6, (3, 3)), (4, (3,)), (4, (3, 5)))
+] + [
+    (UniformHypergraph(5, 2, []), (3, 3)),
+    (UniformHypergraph(0, 2, []), (3, 3)),
+    (UniformHypergraph(10**6, 2, [(10**6 - 2, 10**6 - 1), (10**6 - 2, 10**6), (10**6 - 1, 10**6)]),
+     (3, 3)),
+    (UniformHypergraph(6, 2, [e for e in complete_hypergraph(6, 2).edges if e != (2, 5)]),
+     (3, 3)),
+    (UniformHypergraph(7, 2, [e for e in complete_hypergraph(7, 2).edges if 1 not in e]),
+     (3, 3)),
+]
+
+
+class TestInstance:
+    def test_r2_instances_list_no_clique(self, monkeypatch):
+        from ramseykit import clean, lift_coloring, sample_hypergraph
+
+        targets = TargetList(2, (3, 3))
+        H0 = clean(sample_hypergraph(300, 5, 3e-10, seed=17), 2, 3).result
+        witness_host = lift_coloring(H0, 2, base_coloring_search(5, targets)).host
+        monkeypatch.setattr(arrows, "enumerate_cliques", _no_cliques)
+        K9 = complete_hypergraph(9, 2)
+        inst = arrows._instance(K9, targets)
+        assert (inst.m, inst.ends, inst.cliques) == (36, list(K9.edges), None)
+        assert inst.row_pairs is not None
+        inst = arrows._instance(witness_host, targets)
+        label = {v: i for i, v in enumerate(witness_host.support, start=1)}
+        assert inst.ends == [(label[u], label[v]) for u, v in witness_host.edges]
+        assert (inst.m, inst.cliques, inst.row_pairs) == (witness_host.num_edges, None, None)
+        assert len(label) < witness_host.n  # the host is spread out and incomplete
+
+    def test_arrows_verdict_lists_no_clique(self, monkeypatch):
+        # verify_good_coloring lists cliques for every witness, so only an
+        # "arrows" verdict runs without the clique kernel
+        monkeypatch.setattr(arrows, "enumerate_cliques", _no_cliques)
+        res = arrows_decision(complete_hypergraph(6, 2), TargetList(2, (3, 3)))
+        assert res.verdict == "arrows"
+
+    def test_r3_instances_list_target_cliques_by_edge_id(self):
+        G, targets = complete_hypergraph(5, 3), TargetList(3, (4, 5))
+        inst = arrows._instance(G, targets)
+        assert (inst.m, inst.ends, inst.row_pairs) == (10, None, None)
+        index = {e: j for j, e in enumerate(G.edges)}
+        assert inst.cliques == [
+            [[index[B] for B in itertools.combinations(W, 3)] for W in naive_cliques(5, 3, G.edges, t)]
+            for t in (4, 5)
+        ]
+
+    @pytest.mark.parametrize("G, sizes", _R2_HOSTS, ids=[
+        "k3", "k4", "k5", "k6_arrows", "k4_one_color", "k4_35", "edgeless", "no_vertices",
+        "top_labels_of_a_million", "k6_minus_an_edge", "k6_on_2_to_7"])
+    def test_r2_hosts_without_endpoints_run_the_counters(self, G, sizes):
+        _counters_agree_with_the_bitsets(G, sizes)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_r2_hosts_without_endpoints_run_the_counters(self, data):
+        # random hosts on up to 7 spread labels, as in
+        # test_spread_labels_keep_the_literal_search
+        n = data.draw(st.integers(3, 7))
+        candidates = list(itertools.combinations(range(1, n + 1), 2))
+        edges = sorted(data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)))
+        labels = sorted(data.draw(st.sets(st.integers(1, 40), min_size=n, max_size=n)))
+        G = UniformHypergraph(40, 2, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+        sizes = data.draw(st.sampled_from([(3, 3), (3, 4), (4, 4)]))
+        _counters_agree_with_the_bitsets(G, sizes)
+
+
 def _assignment(result):
     """The witness of an ArrowResult as an edge -> color dict, or None."""
     return None if result.witness is None else result.witness.assignment
@@ -442,7 +538,7 @@ class TestWitnessVerification:
         # a search that colors every edge 1 would hand back a red triangle
         monkeypatch.setattr(
             arrows, "_search",
-            lambda inst, *_args: ([1] * inst.G.num_edges, inst.G.num_edges),
+            lambda inst, *_args: ([1] * inst.m, inst.m),
         )
         with pytest.raises(InternalContradictionError, match=r"\(1, 2, 3\) in color 1"):
             arrows_decision(complete_hypergraph(4, 2), TargetList(2, (3, 3)))
@@ -450,7 +546,7 @@ class TestWitnessVerification:
     def test_bad_three_uniform_witness_raises(self, monkeypatch):
         monkeypatch.setattr(
             arrows, "_search",
-            lambda inst, *_args: ([2] * inst.G.num_edges, inst.G.num_edges),
+            lambda inst, *_args: ([2] * inst.m, inst.m),
         )
         with pytest.raises(InternalContradictionError, match="in color 2"):
             arrows_decision(complete_hypergraph(5, 3), TargetList(3, (4, 4)))
@@ -548,6 +644,11 @@ class TestExportCnf:
     def test_single_color_rejected(self):
         with pytest.raises(ValueError):
             export_cnf(complete_hypergraph(4, 2), TargetList(2, (3,)))
+
+    @pytest.mark.parametrize("G, r", [(complete_hypergraph(4, 2), 3), (complete_hypergraph(4, 3), 2)])
+    def test_uniformity_mismatch_rejected(self, G, r):
+        with pytest.raises(ValueError, match=f"host uniformity {G.k} != target uniformity {r}"):
+            export_cnf(G, TargetList(r, (5, 5)))
 
 
 class TestRamseyNumber:

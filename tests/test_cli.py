@@ -372,7 +372,7 @@ class TestInternalContradictionExit:
 
         monkeypatch.setattr(
             arrows, "_search",
-            lambda inst, *_args: ([1] * inst.G.num_edges, inst.G.num_edges),
+            lambda inst, *_args: ([1] * inst.m, inst.m),
         )
         k4 = tmp_path / "k4.uhg"
         write_hypergraph(complete_hypergraph(4, 2), k4)

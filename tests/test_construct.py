@@ -75,6 +75,29 @@ class TestParseProbability:
         with pytest.raises(ValueError, match=r"100\^\(-63/2\) is below 10\^-60"):
             parse_probability("n^-31.5", 100)
 
+    @pytest.mark.parametrize("n", [10**9, 10**18])
+    def test_tiny_power_refused_before_it_is_formed(self, n, monkeypatch):
+        # floor(log2 n) >= 29 and 29 * 199.999 >= 200, so n^-199.999 <= 2^-200
+        # is refused before n^199999, with its millions of digits, is formed
+        def no_root(*_args):
+            raise AssertionError("a root of the power was taken")
+
+        monkeypatch.setattr("ramseykit.construct._int_nth_root", no_root)
+        with pytest.raises(ValueError, match=rf"{n}\^\(-199999/1000\) is below 10\^-60, the "
+                           "resolution of non-integer powers"):
+            parse_probability("n^-199.999", n)
+
+    def test_tiny_power_precheck_is_the_stated_inequality(self, monkeypatch):
+        # at n = 2, -a * floor(log2 n) >= 200b reads x <= -200: 2^-200.5 is
+        # refused with no root taken, 2^-199.5 (also below 10^-60) by its root
+        roots = []
+        monkeypatch.setattr("ramseykit.construct._int_nth_root",
+                            lambda x, b: roots.append(b) or _int_nth_root(x, b))
+        for x, taken in (("n^-200.5", []), ("n^-199.5", [2])):
+            with pytest.raises(ValueError, match="is below 10\\^-60"):
+                parse_probability(x, 2)
+            assert roots == taken
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             parse_probability("1.5")
